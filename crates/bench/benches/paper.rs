@@ -9,12 +9,11 @@ use swan_bench::{find, measure_point, REPRESENTATIVES};
 use swan_core::profile;
 use swan_core::report;
 use swan_core::{
-    capture, measure_multi, measure_multi_with, record, simulate_trace, Impl, Kernel, Scale,
-    SuiteRunner, TraceStore,
+    aggregate, capture, measure_multi, measure_recorded, plan, record, record_group,
+    simulate_trace, try_execute_plan_checkpointed, Impl, Kernel, Scale, TraceStore,
 };
-use swan_simd::trace::stream_into;
 use swan_simd::Width;
-use swan_uarch::{CoreConfig, EnergyModel, MultiCore};
+use swan_uarch::{CoreConfig, MultiCore};
 
 const SCALE: Scale = Scale(1.0 / 96.0);
 
@@ -233,13 +232,11 @@ fn campaign_streaming_vs_batch(c: &mut Criterion) {
 }
 
 /// Suite campaign, scaling shape: the representative subset measured
-/// by `SuiteRunner` serially and sharded across 4 worker threads (the
-/// multi-thread point must beat the serial wall-clock on any
-/// multi-core host — this is the number the perf trajectory tracks),
-/// plus the record-vs-reexecute pair: one scenario group measured by
-/// the record-once/replay-many executor versus the pre-codec flow
-/// that functionally re-executed the kernel for the warm pass. The
-/// gap between the two points is the recovered emulator run.
+/// by the campaign executor serially and sharded across 4 worker
+/// threads (the multi-thread point must beat the serial wall-clock on
+/// any multi-core host — this is the number the perf trajectory
+/// tracks), plus one scenario group measured by the record-once /
+/// replay-many executor in memory and through the trace store.
 fn campaign_threads(c: &mut Criterion) {
     let kernels = swan_kernels::all_kernels();
     let mut g = c.benchmark_group("campaign_threads");
@@ -254,68 +251,33 @@ fn campaign_threads(c: &mut Criterion) {
         g.bench_function("record_replay_3cores", |b| {
             b.iter(|| black_box(measure_multi(k, Impl::Neon, Width::W128, &cfgs, SCALE, 42).len()))
         });
-        // Trace-store triple: a miss that records the group's stream
-        // into the store (record_to_store), a hit that replays it from
-        // disk with no functional execution (replay_from_store), and
-        // the pre-codec flow that re-executes the kernel for the warm
-        // pass (reexecute_3cores below). The spread between the three
-        // is the store's value: record once per cache lifetime, then
-        // drop both emulator runs on every later campaign.
+        // Trace-store pair: a miss that records the group's stream
+        // into the store (record_to_store) and a hit that replays it
+        // from disk with no functional execution (replay_from_store).
+        // The spread between the two is the store's value: record once
+        // per cache lifetime, then skip the emulator on every later
+        // campaign.
         let dir = std::env::temp_dir().join(format!("swan-bench-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let kernels_for_digest = swan_kernels::all_kernels();
         let store = TraceStore::open(&dir, &kernels_for_digest).expect("open bench trace store");
+        let measure_stored = || {
+            let mut rec = record_group(k, Impl::Neon, Width::W128, SCALE, 42, Some(&store));
+            measure_recorded(&mut rec, &cfgs, Width::W128.factor() as f64).len()
+        };
         g.bench_function("record_to_store_3cores", |b| {
             b.iter(|| {
                 // Every iteration must miss: empty the store first.
                 store.clear().expect("clear bench store");
-                black_box(
-                    measure_multi_with(k, Impl::Neon, Width::W128, &cfgs, SCALE, 42, Some(&store))
-                        .len(),
-                )
+                black_box(measure_stored())
             })
         });
         // Prime the store once; every iteration below is a pure hit.
-        let _ = measure_multi_with(k, Impl::Neon, Width::W128, &cfgs, SCALE, 42, Some(&store));
+        let _ = measure_stored();
         g.bench_function("replay_from_store_3cores", |b| {
-            b.iter(|| {
-                black_box(
-                    measure_multi_with(k, Impl::Neon, Width::W128, &cfgs, SCALE, 42, Some(&store))
-                        .len(),
-                )
-            })
+            b.iter(|| black_box(measure_stored()))
         });
         let _ = std::fs::remove_dir_all(&dir);
-        g.bench_function("reexecute_3cores", |b| {
-            b.iter(|| {
-                // The pre-codec flow: two functional executions (warm
-                // pass + timed pass) drive the fan-out sink directly,
-                // followed by the same per-config histogram + energy
-                // attachment measure_multi performs — so the only
-                // difference between the two points is the recovered
-                // second emulator run.
-                let mut inst = k.instantiate(SCALE, 42);
-                let mut multi = MultiCore::new(&cfgs);
-                multi.begin_warm();
-                let (_, mut multi, ()) = stream_into(multi, || inst.run(Impl::Neon, Width::W128));
-                multi.begin_timed();
-                let (data, mut multi, ()) =
-                    stream_into(multi, || inst.run(Impl::Neon, Width::W128));
-                let work_ops = inst.work_ops();
-                let sims = multi.finalize();
-                let n = cfgs
-                    .iter()
-                    .zip(sims)
-                    .map(|(cfg, sim)| {
-                        let h = data.histograms();
-                        let e =
-                            EnergyModel::default().energy(&sim, cfg, Width::W128.factor() as f64);
-                        black_box((h.total(), e.total_j(), work_ops));
-                    })
-                    .count();
-                black_box(n)
-            })
-        });
     }
     let subset: Vec<Box<dyn Kernel>> = kernels
         .into_iter()
@@ -326,23 +288,31 @@ fn campaign_threads(c: &mut Criterion) {
                 .any(|&(l, n)| m.library.info().symbol == l && m.name == n)
         })
         .collect();
+    let subset_plan = plan(&subset, SCALE, 42);
     for threads in [1usize, 4] {
         g.bench_function(format!("threads_{threads}"), |b| {
             b.iter(|| {
-                let suite = SuiteRunner::new(SCALE, 42)
-                    .threads(threads)
-                    .run(&subset, |_| {});
+                let run = try_execute_plan_checkpointed(
+                    &subset,
+                    &subset_plan,
+                    threads,
+                    None,
+                    None,
+                    None,
+                    |_| {},
+                );
+                assert!(run.failures.is_empty(), "bench campaign failed");
+                let suite = aggregate(&subset, &subset_plan, &run.measurements, SCALE);
                 black_box(suite.kernels.len())
             })
         });
     }
-    // The hot-loop pair the CI throughput gate watches: one recorded
-    // stream replayed through the 3-core fan-out, batch-stepped vs
-    // per-instruction virtual dispatch. Declared element throughput
-    // (model steps per iteration: instrs x 3 cores x 2 passes) makes
-    // BENCH_ci.json carry elems_per_sec for the --bench-gate check.
-    // Placed last in the group because the throughput setting persists
-    // to subsequent benches.
+    // The hot loop the CI throughput gate watches: one recorded stream
+    // replayed batch-stepped through the 3-core fan-out. Declared
+    // element throughput (model steps per iteration: instrs x 3 cores
+    // x 2 passes) makes BENCH_ci.json carry elems_per_sec for the
+    // --bench-gate check. Placed last in the group because the
+    // throughput setting persists to subsequent benches.
     {
         let cfgs = [
             CoreConfig::prime(),
@@ -361,16 +331,6 @@ fn campaign_threads(c: &mut Criterion) {
                 enc.replay_batches(|batch| multi.warm_batch(batch));
                 multi.begin_timed();
                 enc.replay_batches(|batch| multi.step_batch(batch));
-                black_box(multi.finalize().len())
-            })
-        });
-        g.bench_function("batch_vs_per_instr_3cores/per_instr", |b| {
-            b.iter(|| {
-                let mut multi = MultiCore::new(&cfgs);
-                multi.begin_warm();
-                enc.replay_into(&mut multi);
-                multi.begin_timed();
-                enc.replay_into(&mut multi);
                 black_box(multi.finalize().len())
             })
         });

@@ -4,7 +4,7 @@
 //! matrix — 59 kernels × {Scalar, Auto, Neon} × vector widths ×
 //! {Prime, Gold, Silver, Figure 5(b) sweep} — as a flat, canonically
 //! ordered list of [`Scenario`] descriptors. The executor
-//! ([`execute_plan`] / [`SuiteRunner`]) shards *scenarios* across
+//! ([`try_execute_plan_checkpointed`]) shards *scenarios* across
 //! `std::thread` workers: scenarios sharing one instruction stream
 //! (same kernel, implementation, width — [`Scenario::stream_id`]) are
 //! measured from a *single* functional execution, recorded through
@@ -23,12 +23,12 @@
 use crate::checkpoint::CampaignJournal;
 use crate::kernel::{Impl, Kernel, KernelMeta, Scale};
 use crate::report::{KernelResults, SuiteResults, FIG5_KERNELS};
-use crate::runner::{measure_multi_with, Measurement};
+use crate::runner::{measure_recorded, record_group, width_factor, Measurement};
 use crate::scenario::Scenario;
 use crate::tracestore::TraceStore;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use swan_simd::Width;
 use swan_uarch::{CoreConfig, CoreId};
 
@@ -172,7 +172,8 @@ fn measure_group(
 ) -> Vec<Measurement> {
     let sc = &plan[group[0]];
     let cfgs: Vec<CoreConfig> = group.iter().map(|&i| plan[i].core.config()).collect();
-    measure_multi_with(kernel, sc.imp, sc.width, &cfgs, sc.scale, sc.seed, store)
+    let mut rec = record_group(kernel, sc.imp, sc.width, sc.scale, sc.seed, store);
+    measure_recorded(&mut rec, &cfgs, width_factor(sc.imp, sc.width))
 }
 
 fn group_progress(plan: &[Scenario], group: &[usize]) -> String {
@@ -202,132 +203,9 @@ pub(crate) fn scatter_groups<T>(
     out
 }
 
-/// Execute every scenario of a plan serially on the calling thread,
-/// returning one [`Measurement`] per scenario in plan order. The
-/// serial twin of [`execute_plan`] (bit-identical results); accepts a
-/// plain `FnMut` progress callback.
-///
-/// # Panics
-///
-/// Panics if any kernel's measurement panics (see
-/// [`try_execute_plan`] for the failure-isolating form).
-pub fn execute_plan_serial(
-    kernels: &[Box<dyn Kernel>],
-    plan: &[Scenario],
-    progress: impl FnMut(&str),
-) -> Vec<Measurement> {
-    execute_plan_serial_with(kernels, plan, None, progress)
-}
-
-/// [`execute_plan_serial`] consulting an optional persistent
-/// [`TraceStore`] before each group's functional execution.
-pub fn execute_plan_serial_with(
-    kernels: &[Box<dyn Kernel>],
-    plan: &[Scenario],
-    store: Option<&TraceStore>,
-    mut progress: impl FnMut(&str),
-) -> Vec<Measurement> {
-    let groups = execution_groups(plan);
-    let per_group: Vec<Vec<Measurement>> = groups
-        .iter()
-        .map(|group| {
-            progress(&group_progress(plan, group));
-            measure_group(kernels[plan[group[0]].kernel].as_ref(), plan, group, store)
-        })
-        .collect();
-    scatter_groups(plan.len(), &groups, per_group)
-        .into_iter()
-        .map(|m| m.expect("every scenario measured"))
-        .collect()
-}
-
-/// Execute every scenario of a plan, sharded across `threads` workers
-/// at execution-group granularity, returning one [`Measurement`] per
-/// scenario in plan order — bit-identical to [`execute_plan_serial`]
-/// and invariant under plan permutation.
-///
-/// # Panics
-///
-/// Panics — after every shard has drained — if any group's measurement
-/// panicked (see [`try_execute_plan`]).
-pub fn execute_plan(
-    kernels: &[Box<dyn Kernel>],
-    plan: &[Scenario],
-    threads: usize,
-    progress: impl Fn(&str) + Send + Sync,
-) -> Vec<Measurement> {
-    execute_plan_with(kernels, plan, threads, None, progress)
-}
-
-/// [`execute_plan`] consulting an optional persistent [`TraceStore`]:
-/// each group's worker replays a verified store entry when one exists
-/// (hit → no functional execution) and records into the store
-/// otherwise (miss → record-and-insert). Cold-store, warm-store, and
-/// store-disabled runs are bit-identical.
-pub fn execute_plan_with(
-    kernels: &[Box<dyn Kernel>],
-    plan: &[Scenario],
-    threads: usize,
-    store: Option<&TraceStore>,
-    progress: impl Fn(&str) + Send + Sync,
-) -> Vec<Measurement> {
-    let (measurements, failures) = try_execute_plan_with(kernels, plan, threads, store, progress);
-    assert_no_failures(&failures);
-    measurements
-        .into_iter()
-        .map(|m| m.expect("no failures, so every scenario measured"))
-        .collect()
-}
-
-/// Execute a plan, isolating per-group panics: every scenario whose
-/// group completes is measured normally (`Some` in plan order, no
-/// matter what happens in sibling shards), and each panicking group
-/// becomes one [`KernelFailure`] (id = kernel, message names the
-/// stream) with `None` in its members' slots.
-pub fn try_execute_plan(
-    kernels: &[Box<dyn Kernel>],
-    plan: &[Scenario],
-    threads: usize,
-    progress: impl Fn(&str) + Send + Sync,
-) -> (Vec<Option<Measurement>>, Vec<KernelFailure>) {
-    try_execute_plan_with(kernels, plan, threads, None, progress)
-}
-
-/// [`try_execute_plan`] consulting an optional persistent
-/// [`TraceStore`] (see [`execute_plan_with`]).
-pub fn try_execute_plan_with(
-    kernels: &[Box<dyn Kernel>],
-    plan: &[Scenario],
-    threads: usize,
-    store: Option<&TraceStore>,
-    progress: impl Fn(&str) + Send + Sync,
-) -> (Vec<Option<Measurement>>, Vec<KernelFailure>) {
-    let groups = execution_groups(plan);
-    // The worker closure cannot panic, as `shard_indexed` requires:
-    // measurement panics are converted to failures here.
-    let results: Vec<Result<Vec<Measurement>, KernelFailure>> =
-        shard_indexed(groups.len(), threads, |gi| {
-            let group = &groups[gi];
-            progress(&group_progress(plan, group));
-            measure_group_caught(kernels, plan, group, store)
-        });
-    let mut failures = Vec::new();
-    let per_group: Vec<Vec<Measurement>> = results
-        .into_iter()
-        .map(|r| {
-            r.unwrap_or_else(|f| {
-                failures.push(f);
-                Vec::new()
-            })
-        })
-        .collect();
-    (scatter_groups(plan.len(), &groups, per_group), failures)
-}
-
 /// Measure one group with panic isolation: any measurement panic
-/// becomes a [`KernelFailure`] naming the group's stream. The shared
-/// worker body of the plain and checkpointed executors (shard workers
-/// must not panic).
+/// becomes a [`KernelFailure`] naming the group's stream (shard
+/// workers must not panic).
 fn measure_group_caught(
     kernels: &[Box<dyn Kernel>],
     plan: &[Scenario],
@@ -354,13 +232,9 @@ fn measure_group_caught(
     })
 }
 
-// =====================================================================
-// Checkpointed execution
-// =====================================================================
-
-/// Outcome of a checkpointed plan execution: plan-order measurements
-/// (`None` for failed groups and for groups outside this worker's
-/// shard) plus the resume/shard accounting.
+/// Outcome of a plan execution: plan-order measurements (`None` for
+/// failed groups and for groups outside this worker's shard) plus the
+/// resume/shard accounting.
 #[derive(Debug)]
 pub struct CheckpointedRun {
     /// One slot per plan scenario; `Some` for every scenario whose
@@ -378,13 +252,46 @@ pub struct CheckpointedRun {
     pub skipped_groups: usize,
 }
 
-/// Execute a plan against a checkpoint [`CampaignJournal`]: groups
-/// with a verified journal entry are *loaded*, never re-simulated;
-/// the rest are measured (sharded across `threads` workers, consulting
-/// the optional trace `store` exactly like [`try_execute_plan_with`])
-/// and each group's measurements are persisted the moment the group
-/// completes — so a kill at any instant loses at most the groups in
-/// flight, and the next run picks up where this one died.
+impl CheckpointedRun {
+    /// The plan-order measurements of a run that measured every
+    /// scenario.
+    ///
+    /// # Panics
+    ///
+    /// Panics with a summary naming every failed group's kernel if any
+    /// group failed, or if a worker shard left groups to other
+    /// workers.
+    pub fn into_measurements(self) -> Vec<Measurement> {
+        assert!(
+            self.failures.is_empty(),
+            "campaign kernels panicked: {:?}",
+            self.failures
+                .iter()
+                .map(|f| format!("{}: {}", f.id, f.message))
+                .collect::<Vec<_>>()
+        );
+        self.measurements
+            .into_iter()
+            .map(|m| m.expect("no failures and no shard, so every scenario measured"))
+            .collect()
+    }
+}
+
+/// Execute a plan: the campaign executor every caller goes through.
+///
+/// Execution groups are sharded across `threads` workers; each group
+/// replays a verified `store` entry when one exists (no functional
+/// execution) and records into the store otherwise. Cold-store,
+/// warm-store and store-disabled runs are bit-identical, and so are
+/// serial, sharded and plan-permuted runs. A panicking group becomes
+/// one [`KernelFailure`] with `None` in its members' slots; sibling
+/// groups are measured normally.
+///
+/// With a checkpoint `journal`, groups holding a verified journal
+/// entry are *loaded*, never re-simulated, and each measured group is
+/// persisted the moment it completes — so a kill at any instant loses
+/// at most the groups in flight, and the next run picks up where this
+/// one died.
 ///
 /// `shard` restricts execution to one worker's disjoint subset: with
 /// `Some((i, of))` only remaining groups whose *canonical* group index
@@ -399,7 +306,7 @@ pub fn try_execute_plan_checkpointed(
     plan: &[Scenario],
     threads: usize,
     store: Option<&TraceStore>,
-    journal: &CampaignJournal,
+    journal: Option<&CampaignJournal>,
     shard: Option<(usize, usize)>,
     progress: impl Fn(&str) + Send + Sync,
 ) -> CheckpointedRun {
@@ -412,7 +319,7 @@ pub fn try_execute_plan_checkpointed(
     let mut resumed_groups = 0usize;
     let mut skipped_groups = 0usize;
     for (gi, group) in groups.iter().enumerate() {
-        if let Some(ms) = journal.load_group(plan, group) {
+        if let Some(ms) = journal.and_then(|j| j.load_group(plan, group)) {
             per_group[gi] = ms;
             resumed_groups += 1;
         } else if shard.is_none_or(|(i, of)| gi % of == i) {
@@ -421,13 +328,15 @@ pub fn try_execute_plan_checkpointed(
             skipped_groups += 1;
         }
     }
+    // The worker closure cannot panic, as `shard_indexed` requires:
+    // measurement panics are converted to failures here.
     let results: Vec<Result<Vec<Measurement>, KernelFailure>> =
         shard_indexed(work.len(), threads, |wi| {
             let gi = work[wi];
             let group = &groups[gi];
             progress(&group_progress(plan, group));
             let r = measure_group_caught(kernels, plan, group, store);
-            if let Ok(ms) = &r {
+            if let (Some(journal), Ok(ms)) = (journal, &r) {
                 if let Err(e) = journal.record_group(plan, group, ms) {
                     eprintln!(
                         "checkpoint: cannot journal {} ({e}); the group's \
@@ -456,25 +365,19 @@ pub fn try_execute_plan_checkpointed(
     }
 }
 
-/// [`try_execute_plan_checkpointed`] panicking on any group failure
-/// and unwrapping the plan-order measurements — the coordinator form
-/// (no shard: every remaining group is simulated by this run).
-pub fn execute_plan_checkpointed(
+/// Execute a plan without a journal or a worker shard, isolating
+/// per-group panics: the [`try_execute_plan_checkpointed`] outcome as
+/// plan-order measurements (`None` for failed groups' members) plus
+/// one [`KernelFailure`] per failed group.
+pub fn try_execute_plan_with(
     kernels: &[Box<dyn Kernel>],
     plan: &[Scenario],
     threads: usize,
     store: Option<&TraceStore>,
-    journal: &CampaignJournal,
     progress: impl Fn(&str) + Send + Sync,
-) -> (Vec<Measurement>, CheckpointedRun) {
-    let mut run =
-        try_execute_plan_checkpointed(kernels, plan, threads, store, journal, None, progress);
-    assert_no_failures(&run.failures);
-    let measurements = std::mem::take(&mut run.measurements)
-        .into_iter()
-        .map(|m| m.expect("no shard and no failures, so every scenario measured"))
-        .collect();
-    (measurements, run)
+) -> (Vec<Option<Measurement>>, Vec<KernelFailure>) {
+    let run = try_execute_plan_checkpointed(kernels, plan, threads, store, None, None, progress);
+    (run.measurements, run.failures)
 }
 
 // =====================================================================
@@ -560,19 +463,6 @@ pub fn aggregate(
     }
 }
 
-/// Panic with a summary naming every failed kernel, unless there are
-/// none (the shared failure path of the panicking executor forms).
-fn assert_no_failures(failures: &[KernelFailure]) {
-    assert!(
-        failures.is_empty(),
-        "campaign kernels panicked: {:?}",
-        failures
-            .iter()
-            .map(|f| format!("{}: {}", f.id, f.message))
-            .collect::<Vec<_>>()
-    );
-}
-
 /// A kernel whose measurement panicked during a campaign.
 #[derive(Clone, Debug)]
 pub struct KernelFailure {
@@ -581,161 +471,4 @@ pub struct KernelFailure {
     /// The panic payload, stringified (prefixed with the panicking
     /// scenario stream's id).
     pub message: String,
-}
-
-/// Produce the complete [`KernelResults`] for one kernel through the
-/// same plan → execute → aggregate pipeline the campaign uses.
-pub fn measure_kernel(kernel: &dyn Kernel, scale: Scale, seed: u64) -> KernelResults {
-    let meta = kernel.meta();
-    let plan = plan_kernel(0, &meta, scale, seed);
-    let groups = execution_groups(&plan);
-    let per_group: Vec<Vec<Measurement>> = groups
-        .iter()
-        .map(|group| measure_group(kernel, &plan, group, None))
-        .collect();
-    let measurements = scatter_groups(plan.len(), &groups, per_group);
-    aggregate_kernel(
-        meta,
-        &plan,
-        &measurements,
-        &(0..plan.len()).collect::<Vec<_>>(),
-    )
-    .expect("a full single-kernel plan aggregates completely")
-}
-
-/// A campaign over a kernel inventory, optionally sharded across
-/// threads at scenario(-group) granularity and optionally backed by a
-/// persistent trace store.
-#[derive(Clone, Debug)]
-pub struct SuiteRunner {
-    scale: Scale,
-    seed: u64,
-    threads: usize,
-    store: Option<Arc<TraceStore>>,
-    journal: Option<Arc<CampaignJournal>>,
-}
-
-impl SuiteRunner {
-    /// A serial campaign at the given input scale and seed.
-    pub fn new(scale: Scale, seed: u64) -> SuiteRunner {
-        SuiteRunner {
-            scale,
-            seed,
-            threads: 1,
-            store: None,
-            journal: None,
-        }
-    }
-
-    /// Shard scenario groups across `n` worker threads (1 = serial).
-    pub fn threads(mut self, n: usize) -> SuiteRunner {
-        self.threads = n.max(1);
-        self
-    }
-
-    /// Consult (and fill) a persistent [`TraceStore`] instead of
-    /// functionally executing scenario groups whose recordings it
-    /// already holds.
-    pub fn store(mut self, store: Arc<TraceStore>) -> SuiteRunner {
-        self.store = Some(store);
-        self
-    }
-
-    /// Journal each scenario group's measurements into a checkpoint
-    /// [`CampaignJournal`] as the group completes, and resume any
-    /// groups it already holds instead of re-simulating them. Honored
-    /// by [`SuiteRunner::run`]/[`SuiteRunner::try_run`]
-    /// ([`SuiteRunner::run_serial`] ignores it; use `threads(1)` for a
-    /// journaled serial campaign).
-    pub fn journal(mut self, journal: Arc<CampaignJournal>) -> SuiteRunner {
-        self.journal = Some(journal);
-        self
-    }
-
-    /// Run the campaign serially on the calling thread (the form
-    /// `report::run_suite` delegates to; accepts a plain `FnMut`
-    /// progress callback).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any kernel's measurement panics (see
-    /// [`SuiteRunner::try_run`] for the failure-isolating form).
-    pub fn run_serial(
-        &self,
-        kernels: &[Box<dyn Kernel>],
-        progress: impl FnMut(&str),
-    ) -> SuiteResults {
-        let plan = plan(kernels, self.scale, self.seed);
-        let measurements: Vec<Option<Measurement>> =
-            execute_plan_serial_with(kernels, &plan, self.store.as_deref(), progress)
-                .into_iter()
-                .map(Some)
-                .collect();
-        aggregate(kernels, &plan, &measurements, self.scale)
-    }
-
-    /// Run the campaign. `progress` receives one status line per
-    /// scenario group (from whichever worker picks it up).
-    ///
-    /// # Panics
-    ///
-    /// Panics — after every shard has drained — if any kernel's
-    /// measurement panicked, naming all failed kernels. A panicking
-    /// kernel never poisons sibling shards: their results are fully
-    /// measured first (use [`SuiteRunner::try_run`] to get them).
-    pub fn run(
-        &self,
-        kernels: &[Box<dyn Kernel>],
-        progress: impl Fn(&str) + Send + Sync,
-    ) -> SuiteResults {
-        let (suite, failures) = self.try_run(kernels, progress);
-        assert_no_failures(&failures);
-        suite
-    }
-
-    /// Run the campaign, isolating per-kernel panics: every
-    /// non-panicking kernel is measured normally (in suite order) no
-    /// matter what happens in sibling shards, and each panicking
-    /// kernel is reported as one [`KernelFailure`] (its first failing
-    /// scenario group's panic) instead of tearing down the run.
-    pub fn try_run(
-        &self,
-        kernels: &[Box<dyn Kernel>],
-        progress: impl Fn(&str) + Send + Sync,
-    ) -> (SuiteResults, Vec<KernelFailure>) {
-        let plan = plan(kernels, self.scale, self.seed);
-        let (measurements, group_failures) = match &self.journal {
-            Some(journal) => {
-                let run = try_execute_plan_checkpointed(
-                    kernels,
-                    &plan,
-                    self.threads,
-                    self.store.as_deref(),
-                    journal,
-                    None,
-                    progress,
-                );
-                (run.measurements, run.failures)
-            }
-            None => try_execute_plan_with(
-                kernels,
-                &plan,
-                self.threads,
-                self.store.as_deref(),
-                progress,
-            ),
-        };
-        // One failure per kernel (a kernel that panics usually panics
-        // in every one of its groups), keeping the first message.
-        let mut failures: Vec<KernelFailure> = Vec::new();
-        for f in group_failures {
-            if !failures.iter().any(|g| g.id == f.id) {
-                failures.push(f);
-            }
-        }
-        (
-            aggregate(kernels, &plan, &measurements, self.scale),
-            failures,
-        )
-    }
 }

@@ -5,7 +5,7 @@
 //! width, core, scale, seed) — yields the same dynamic-instruction
 //! stream, including every memory address, on every run and every
 //! machine. This module turns that into a regression gate over the
-//! *full scenario matrix*: [`collect`] measures every scenario of
+//! *full scenario matrix*: [`collect_with`] measures every scenario of
 //! [`crate::campaign::plan`] into compact [`GoldenEntry`] records
 //! keyed by scenario id (an order-sensitive trace digest plus that
 //! core's cycle/cache stats), [`to_json`] serializes them canonically,
@@ -91,55 +91,14 @@ fn collect_group(
         .collect()
 }
 
-/// Collect golden entries for every scenario of a plan, in plan order,
+/// Collect the full golden campaign: every scenario of the paper's
+/// matrix ([`crate::campaign::plan`]), in canonical plan order,
 /// optionally sharded across `threads` workers at execution-group
 /// granularity (per-scenario results are independent, so sharding
-/// cannot change them). `progress` receives one status line per group.
-pub fn collect_plan(
-    kernels: &[Box<dyn Kernel>],
-    plan: &[Scenario],
-    threads: usize,
-    progress: impl Fn(&str) + Send + Sync,
-) -> Vec<GoldenEntry> {
-    collect_plan_with(kernels, plan, threads, None, progress)
-}
-
-/// [`collect_plan`] consulting an optional persistent [`TraceStore`]
-/// before each group's functional execution; collections with a cold
-/// store, a warm store, and no store are byte-identical.
-pub fn collect_plan_with(
-    kernels: &[Box<dyn Kernel>],
-    plan: &[Scenario],
-    threads: usize,
-    store: Option<&TraceStore>,
-    progress: impl Fn(&str) + Send + Sync,
-) -> Vec<GoldenEntry> {
-    let groups = execution_groups(plan);
-    let per_group = shard_indexed(groups.len(), threads, |gi| {
-        let group = &groups[gi];
-        let sc = &plan[group[0]];
-        progress(&format!("golden {}", sc.stream_id()));
-        collect_group(kernels[sc.kernel].as_ref(), plan, group, store)
-    });
-    scatter_groups(plan.len(), &groups, per_group)
-        .into_iter()
-        .map(|e| e.expect("every scenario collected"))
-        .collect()
-}
-
-/// Collect the full golden campaign: every scenario of the paper's
-/// matrix ([`crate::campaign::plan`]), in canonical plan order.
-pub fn collect(
-    kernels: &[Box<dyn Kernel>],
-    scale: Scale,
-    seed: u64,
-    threads: usize,
-    progress: impl Fn(&str) + Send + Sync,
-) -> Vec<GoldenEntry> {
-    collect_with(kernels, scale, seed, threads, None, progress)
-}
-
-/// [`collect`] consulting an optional persistent [`TraceStore`].
+/// cannot change them) and consulting an optional persistent
+/// [`TraceStore`] before each group's functional execution.
+/// Collections with a cold store, a warm store, and no store are
+/// byte-identical. `progress` receives one status line per group.
 pub fn collect_with(
     kernels: &[Box<dyn Kernel>],
     scale: Scale,
@@ -149,7 +108,17 @@ pub fn collect_with(
     progress: impl Fn(&str) + Send + Sync,
 ) -> Vec<GoldenEntry> {
     let plan = crate::campaign::plan(kernels, scale, seed);
-    collect_plan_with(kernels, &plan, threads, store, progress)
+    let groups = execution_groups(&plan);
+    let per_group = shard_indexed(groups.len(), threads, |gi| {
+        let group = &groups[gi];
+        let sc = &plan[group[0]];
+        progress(&format!("golden {}", sc.stream_id()));
+        collect_group(kernels[sc.kernel].as_ref(), &plan, group, store)
+    });
+    scatter_groups(plan.len(), &groups, per_group)
+        .into_iter()
+        .map(|e| e.expect("every scenario collected"))
+        .collect()
 }
 
 /// Serialize a golden collection to its canonical JSON form: fixed key

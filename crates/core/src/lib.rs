@@ -32,10 +32,8 @@ pub mod stats;
 pub mod tracestore;
 
 pub use campaign::{
-    aggregate, execute_plan, execute_plan_checkpointed, execute_plan_serial,
-    execute_plan_serial_with, execute_plan_with, execution_groups, measure_kernel, plan,
-    try_execute_plan, try_execute_plan_checkpointed, try_execute_plan_with, CheckpointedRun,
-    KernelFailure, SuiteRunner,
+    aggregate, execution_groups, plan, try_execute_plan_checkpointed, try_execute_plan_with,
+    CheckpointedRun, KernelFailure,
 };
 pub use checkpoint::{
     group_key_string, CampaignJournal, JournalStats, Resume, CHECKPOINT_FORMAT_VERSION,
@@ -47,8 +45,8 @@ pub use kernel::{
 pub use perf::{find, gate, parse_bench_json, probe, BenchRow, GateOutcome, PerfReport};
 pub use profile::{Phase, PhaseSample, ProfileReport, ProfileScope};
 pub use runner::{
-    capture, measure, measure_multi, measure_multi_with, measure_recorded, record, record_group,
-    simulate_trace, verify_kernel, GroupRecording, Measurement,
+    capture, measure, measure_multi, measure_recorded, record, record_group, simulate_trace,
+    verify_kernel, GroupRecording, Measurement,
 };
 pub use scenario::{filter_plan, Scenario, ScenarioFilter};
 pub use tracestore::{inventory_digest, StoreStats, TraceStore};

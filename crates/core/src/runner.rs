@@ -151,22 +151,13 @@ impl GroupRecording {
         matches!(self.source, RecordingSource::Store(_))
     }
 
-    /// Drive the recorded stream into `sink`, reproducing the live
-    /// execution's sink calls bit-identically.
-    pub fn replay_into(&mut self, sink: &mut dyn TraceSink) {
-        match &mut self.source {
-            RecordingSource::Memory(enc) => enc.replay_into(sink),
-            RecordingSource::Store(stored) => stored.replay_into(sink),
-        }
-    }
-
     /// Drive the recorded stream out as decoded instruction batches —
     /// the monomorphic fast path for core-model consumers. Store-backed
     /// recordings decode double-buffered (chunk `k+1` is read and
     /// verified while the consumer simulates chunk `k`); in-memory
     /// recordings decode serially into one reusable arena. The
-    /// concatenated batches equal what a sink without an `on_overhead`
-    /// override receives from [`GroupRecording::replay_into`].
+    /// concatenated batches equal the live execution's instruction
+    /// stream, overhead runs expanded.
     pub fn replay_batches(&mut self, consume: impl FnMut(&[TraceInstr])) {
         match &mut self.source {
             RecordingSource::Memory(enc) => enc.replay_batches(consume),
@@ -284,7 +275,7 @@ pub fn record_group(
 }
 
 /// Vector-op energy scale factor for an implementation at a width.
-fn width_factor(imp: Impl, w: Width) -> f64 {
+pub(crate) fn width_factor(imp: Impl, w: Width) -> f64 {
     if imp == Impl::Neon {
         w.factor() as f64
     } else {
@@ -298,9 +289,8 @@ fn width_factor(imp: Impl, w: Width) -> f64 {
 /// (§4.3) and a second replay is timed. Both replays run on the batch
 /// path: each arena of decoded instructions is stepped through all N
 /// models while (for store-backed recordings) the next chunk decodes
-/// on a second thread. Bit-identical to the per-instruction sink path
-/// (`tests/batch_equivalence.rs`). Returns one [`Measurement`] per
-/// entry of `cfgs`, in order.
+/// on a second thread. Returns one [`Measurement`] per entry of
+/// `cfgs`, in order.
 pub fn measure_recorded(
     rec: &mut GroupRecording,
     cfgs: &[CoreConfig],
@@ -354,24 +344,7 @@ pub fn measure_multi(
     scale: Scale,
     seed: u64,
 ) -> Vec<Measurement> {
-    measure_multi_with(kernel, imp, w, cfgs, scale, seed, None)
-}
-
-/// [`measure_multi`] consulting an optional persistent [`TraceStore`]:
-/// a store hit replays the group's recording from disk and skips the
-/// functional execution entirely; a miss records into the store for
-/// every later run. Results are bit-identical with a cold store, a
-/// warm store, and no store at all.
-pub fn measure_multi_with(
-    kernel: &dyn Kernel,
-    imp: Impl,
-    w: Width,
-    cfgs: &[CoreConfig],
-    scale: Scale,
-    seed: u64,
-    store: Option<&TraceStore>,
-) -> Vec<Measurement> {
-    let mut rec = record_group(kernel, imp, w, scale, seed, store);
+    let mut rec = record_group(kernel, imp, w, scale, seed, None);
     measure_recorded(&mut rec, cfgs, width_factor(imp, w))
 }
 

@@ -533,32 +533,19 @@ pub struct StoredRecording {
 }
 
 impl StoredRecording {
-    /// Replay the recording into `sink`, streaming chunk by chunk —
-    /// O(chunk budget) resident. Verification already happened on
-    /// open, so a failure here means the file changed underneath an
-    /// open handle (impossible through the store's own atomic
-    /// replace/evict operations).
+    /// Replay the recording as decoded instruction batches,
+    /// double-buffered: chunk `k+1` is read, verified, and decoded
+    /// while the consumer simulates chunk `k`
+    /// ([`swan_simd::replay_chunked_batches`]) — O(chunk budget)
+    /// resident. Verification already happened on open, so a failure
+    /// here means the file changed underneath an open handle
+    /// (impossible through the store's own atomic replace/evict
+    /// operations).
     ///
     /// # Panics
     ///
     /// Panics on I/O or decode errors; the campaign executor's
     /// per-group panic isolation turns that into a `KernelFailure`.
-    pub fn replay_into(&mut self, sink: &mut dyn TraceSink) {
-        (&self.file)
-            .seek(SeekFrom::Start(self.data_start))
-            .expect("seek stored recording");
-        let summary = replay_chunked(BufReader::new(&self.file), sink)
-            .expect("verified store entry must replay");
-        assert_eq!(summary, self.summary, "stored recording changed shape");
-    }
-
-    /// Replay the recording as decoded instruction batches,
-    /// double-buffered: chunk `k+1` is read, verified, and decoded
-    /// while the consumer simulates chunk `k`
-    /// ([`swan_simd::replay_chunked_batches`]). Same verification and
-    /// panic contract as [`StoredRecording::replay_into`]; the
-    /// concatenated batches equal what a sink without an
-    /// `on_overhead` override would receive from it.
     pub fn replay_batches(&mut self, consume: impl FnMut(&[TraceInstr])) {
         (&self.file)
             .seek(SeekFrom::Start(self.data_start))
@@ -613,7 +600,6 @@ impl TraceSink for HistSink {
 mod tests {
     use super::*;
     use swan_simd::trace::MemRef;
-    use swan_simd::VecSink;
 
     fn test_dir(tag: &str) -> PathBuf {
         let dir =
@@ -641,6 +627,12 @@ mod tests {
         sink.on_overhead(Op::SBranch, Class::SInt, id, 9);
     }
 
+    fn replayed(rec: &mut StoredRecording) -> Vec<TraceInstr> {
+        let mut out = Vec::new();
+        rec.replay_batches(|b| out.extend_from_slice(b));
+        out
+    }
+
     fn insert(store: &TraceStore, key: &StoreKey, n: u64) -> StoredRecording {
         let (pending, mut sink) = store.begin_insert(key).expect("begin insert");
         feed(&mut sink, n);
@@ -657,21 +649,17 @@ mod tests {
         let store = TraceStore::open(&dir, &[]).expect("open").chunk_budget(64);
         let key = StoreKey::group("ZL.adler32", Impl::Neon, Width::W128, Scale(0.25), 42);
         assert!(store.lookup(&key).is_none(), "cold store misses");
-        let mut fresh = insert(&store, &key, 100);
-        let mut from_fresh = VecSink::default();
-        fresh.replay_into(&mut from_fresh);
+        let from_fresh = replayed(&mut insert(&store, &key, 100));
+        assert_eq!(from_fresh.len(), 109, "overhead runs replay expanded");
 
         let mut stored = store.lookup(&key).expect("warm store hits");
         assert_eq!(stored.work_ops, 1234);
         assert_eq!(stored.fallback_refs, 0);
         assert_eq!(stored.histograms.total(), 109);
-        let mut from_disk = VecSink::default();
-        stored.replay_into(&mut from_disk);
-        assert_eq!(from_fresh.instrs, from_disk.instrs);
+        let from_disk = replayed(&mut stored);
+        assert_eq!(from_fresh, from_disk);
         // Replay is repeatable on one handle.
-        let mut again = VecSink::default();
-        stored.replay_into(&mut again);
-        assert_eq!(from_disk.instrs, again.instrs);
+        assert_eq!(from_disk, replayed(&mut stored));
 
         let s = store.stats();
         assert_eq!((s.hits, s.misses, s.inserts), (1, 1, 1));

@@ -655,20 +655,6 @@ impl EncodedTrace {
             consume(batch.instrs());
         }
     }
-
-    /// Write this recording in the segmented container form: the same
-    /// record bytes re-chunked at `budget`-byte boundaries through a
-    /// fresh [`SpillSink`]. `replay_chunked` of the result is
-    /// bit-identical to [`EncodedTrace::replay_into`].
-    pub fn write_chunked<W: Write + 'static>(
-        &self,
-        budget: usize,
-        writer: W,
-    ) -> io::Result<(ChunkedSummary, W)> {
-        let mut spill = SpillSink::new(writer, budget);
-        self.replay_into(&mut spill);
-        spill.finish()
-    }
 }
 
 /// A [`TraceSink`] that encodes the stream it receives. Install it

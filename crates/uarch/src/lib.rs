@@ -56,12 +56,15 @@ use swan_simd::TraceData;
 /// simulation runs.
 pub fn simulate(trace: &TraceData, cfg: &CoreConfig) -> SimResult {
     let mut model = CoreModel::new(cfg.clone());
-    model.warm(trace);
-    model.run(trace)
+    model.warm_batch(&trace.instrs);
+    model.begin_timed();
+    model.step_batch(&trace.instrs);
+    model.finalize()
 }
 
 /// Simulate with cold caches (no warm-up replay).
 pub fn simulate_cold(trace: &TraceData, cfg: &CoreConfig) -> SimResult {
     let mut model = CoreModel::new(cfg.clone());
-    model.run(trace)
+    model.step_batch(&trace.instrs);
+    model.finalize()
 }

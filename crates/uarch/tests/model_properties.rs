@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use swan_simd::trace::{Class, MemRef, Op};
 use swan_simd::{TraceData, TraceInstr};
-use swan_uarch::{simulate, simulate_cold, CoreConfig};
+use swan_uarch::{simulate, simulate_cold, CoreConfig, CoreModel, MultiCore, SimResult};
 
 /// Build a synthetic trace of `n` instructions with a configurable mix.
 fn synth_trace(n: u32, loads: bool, chain: bool) -> TraceData {
@@ -36,8 +36,74 @@ fn synth_trace(n: u32, loads: bool, chain: bool) -> TraceData {
     t
 }
 
+/// Cut `instrs` into consecutive batches whose sizes cycle through
+/// `sizes` (each at least 1); the last batch takes what is left.
+fn split<'a>(instrs: &'a [TraceInstr], sizes: &[usize]) -> Vec<&'a [TraceInstr]> {
+    let mut out = Vec::new();
+    let mut rest = instrs;
+    for &n in sizes.iter().cycle() {
+        if rest.is_empty() {
+            break;
+        }
+        let (head, tail) = rest.split_at(n.clamp(1, rest.len()));
+        out.push(head);
+        rest = tail;
+    }
+    out
+}
+
+/// Warm then time one model, feeding each pass through its own batch
+/// split.
+fn run_split(cfg: &CoreConfig, warm: &[&[TraceInstr]], timed: &[&[TraceInstr]]) -> SimResult {
+    let mut m = CoreModel::new(cfg.clone());
+    m.begin_warm();
+    for b in warm {
+        m.step_batch(b);
+    }
+    m.begin_timed();
+    for b in timed {
+        m.step_batch(b);
+    }
+    m.finalize()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Batch boundaries are invisible: warming and timing through any
+    /// split of the stream (all-size-1 included) equals one unsplit
+    /// batch per pass, `SimResult` field for field — on a single
+    /// `CoreModel` and on a Prime/Gold/Silver `MultiCore` fan-out
+    /// against independent models.
+    #[test]
+    fn batch_splits_never_change_the_result(
+        n in 1u32..1500,
+        loads: bool,
+        chain: bool,
+        warm_sizes in proptest::collection::vec(1usize..300, 1..6),
+        timed_sizes in proptest::collection::vec(1usize..300, 1..6),
+    ) {
+        let t = synth_trace(n, loads, chain);
+        let warm = split(&t.instrs, &warm_sizes);
+        let timed = split(&t.instrs, &timed_sizes);
+        let singles = split(&t.instrs, &[1]);
+        let cfgs = [CoreConfig::prime(), CoreConfig::gold(), CoreConfig::silver()];
+        let whole: Vec<SimResult> = cfgs.iter().map(|c| simulate(&t, c)).collect();
+        for (cfg, want) in cfgs.iter().zip(&whole) {
+            prop_assert_eq!(&run_split(cfg, &warm, &timed), want, "{} split", cfg.name);
+            prop_assert_eq!(&run_split(cfg, &singles, &singles), want, "{} size-1", cfg.name);
+        }
+        let mut multi = MultiCore::new(&cfgs);
+        multi.begin_warm();
+        for b in &warm {
+            multi.warm_batch(b);
+        }
+        multi.begin_timed();
+        for b in &timed {
+            multi.step_batch(b);
+        }
+        prop_assert_eq!(multi.finalize(), whole);
+    }
 
     #[test]
     fn ipc_bounded_by_commit_width(n in 100u32..4000, loads: bool, chain: bool) {

@@ -1,7 +1,7 @@
-//! Parallel suite campaign: measure a kernel subset across worker
-//! threads with [`SuiteRunner`] and print the per-library speedup
-//! summary — the multi-threaded path `swan-report --threads N` uses
-//! for the full 59-kernel campaign.
+//! Parallel suite campaign: plan the scenario matrix, execute it
+//! across worker threads, aggregate it, and print the per-library
+//! speedup summary — the pipeline `swan-report --threads N` runs for
+//! the full 59-kernel campaign.
 //!
 //! ```text
 //! cargo run --release --example campaign [threads]
@@ -10,6 +10,7 @@
 use std::collections::BTreeMap;
 use swan::prelude::*;
 use swan_core::report::library_speedups;
+use swan_core::{aggregate, execution_groups, try_execute_plan_checkpointed};
 
 fn main() {
     let threads: usize = std::env::args()
@@ -24,13 +25,20 @@ fn main() {
     );
 
     let t0 = std::time::Instant::now();
+    let plan = plan(&kernels, Scale::test(), 42);
+    let groups = execution_groups(&plan).len();
     let done = std::sync::atomic::AtomicUsize::new(0);
-    let suite = SuiteRunner::new(Scale::test(), 42)
-        .threads(threads)
-        .run(&kernels, |msg| {
-            let n = done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-            eprintln!("  [{n:>2}/{}] {msg}", kernels.len());
-        });
+    let run = try_execute_plan_checkpointed(&kernels, &plan, threads, None, None, None, |msg| {
+        let n = done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
+        eprintln!("  [{n:>3}/{groups}] {msg}");
+    });
+    for f in &run.failures {
+        eprintln!("campaign kernel failed: {}: {}", f.id, f.message);
+    }
+    if !run.failures.is_empty() {
+        std::process::exit(1);
+    }
+    let suite = aggregate(&kernels, &plan, &run.measurements, Scale::test());
     println!("campaign finished in {:.1}s\n", t0.elapsed().as_secs_f32());
 
     let speedups: BTreeMap<Library, f64> = library_speedups(&suite);

@@ -68,7 +68,7 @@ fn main() {
         scalar.energy_j / neon.energy_j
     );
 
-    // The streaming fan-out: one traced execution pair drives several
+    // The fan-out: one recorded execution is replayed into several
     // core models at once (no materialized trace, no re-capture).
     let cores = [
         CoreConfig::prime(),

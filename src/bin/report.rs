@@ -49,11 +49,9 @@
 //!
 //! `--perf` times the simulator against itself: each representative
 //! kernel is recorded once and replayed through every pipeline phase
-//! (decode-only, batch warm, batch timed, per-instruction reference),
-//! printing ns/instr per phase and **instructions simulated per
-//! second** as the headline — and asserting the batch and
-//! per-instruction paths agree bit for bit. Defaults to the quick
-//! scale unless `--scale` is given.
+//! (decode-only, batch warm, batch timed), printing ns/instr per phase
+//! and **instructions simulated per second** as the headline. Defaults
+//! to the quick scale unless `--scale` is given.
 //!
 //! `--bench-gate current.json baseline.json` compares the
 //! element-throughput benches of a `cargo bench` JSON report
@@ -101,11 +99,9 @@
 //! pin trace digests the journal does not persist; see CONTRIBUTING,
 //! "The checkpoint journal").
 
-use std::sync::Arc;
 use swan_core::report::{self, SuiteResults};
 use swan_core::{
-    golden, CampaignJournal, CheckpointedRun, Scale, Scenario, ScenarioFilter, SuiteRunner,
-    TraceStore,
+    golden, CampaignJournal, CheckpointedRun, Scale, Scenario, ScenarioFilter, TraceStore,
 };
 use swan_kernels::xp::{conv_layers, GemmF32, Shape, SpmmF32};
 
@@ -363,11 +359,8 @@ fn main() {
 
     // The persistent trace store, if requested. Opened once and shared
     // by whichever campaign runs below; keyed by this inventory.
-    let store: Option<Arc<TraceStore>> = store_dir.as_ref().map(|dir| {
-        Arc::new(
-            TraceStore::open(dir, &kernels)
-                .unwrap_or_else(|e| panic!("open trace store {dir}: {e}")),
-        )
+    let store: Option<TraceStore> = store_dir.as_ref().map(|dir| {
+        TraceStore::open(dir, &kernels).unwrap_or_else(|e| panic!("open trace store {dir}: {e}"))
     });
     let print_store_stats = || {
         if !store_stats {
@@ -394,12 +387,10 @@ fn main() {
     // The campaign checkpoint journal, if requested. Opened where the
     // scale is final (perf/golden modes adjust it after parsing);
     // keyed by the inventory, scale, and seed like the trace store.
-    let open_journal = |scale: Scale| -> Arc<CampaignJournal> {
+    let open_journal = |scale: Scale| -> CampaignJournal {
         let dir = checkpoint_dir.as_ref().expect("checkpoint dir set");
-        Arc::new(
-            CampaignJournal::open(dir, &kernels, scale, seed)
-                .unwrap_or_else(|e| panic!("open checkpoint journal {dir}: {e}")),
-        )
+        CampaignJournal::open(dir, &kernels, scale, seed)
+            .unwrap_or_else(|e| panic!("open checkpoint journal {dir}: {e}"))
     };
     let print_checkpoint_stats = |journal: &CampaignJournal, run: &CheckpointedRun| {
         let s = journal.stats();
@@ -464,8 +455,8 @@ fn main() {
             &kernels,
             &selected,
             threads,
-            store.as_deref(),
-            &journal,
+            store.as_ref(),
+            Some(&journal),
             Some((wi, wof)),
             |msg| eprintln!("  [{:6.1}s] {msg}", t0.elapsed().as_secs_f32()),
         );
@@ -519,7 +510,7 @@ fn main() {
             scale.0,
             swan_core::perf::REPRESENTATIVES.len()
         );
-        let rep = swan_core::probe(&kernels, scale, seed, store.as_deref());
+        let rep = swan_core::probe(&kernels, scale, seed, store.as_ref());
         print_store_stats();
         print!("{}", rep.render());
         eprintln!("perf probe done in {:.1}s", t0.elapsed().as_secs_f32());
@@ -637,10 +628,9 @@ fn main() {
             scale.0,
             if threads == 1 { "" } else { "s" }
         );
-        let entries =
-            golden::collect_with(&kernels, scale, seed, threads, store.as_deref(), |msg| {
-                eprintln!("  [{:6.1}s] {msg}", t0.elapsed().as_secs_f32());
-            });
+        let entries = golden::collect_with(&kernels, scale, seed, threads, store.as_ref(), |msg| {
+            eprintln!("  [{:6.1}s] {msg}", t0.elapsed().as_secs_f32());
+        });
         print_store_stats();
         let actual = golden::to_json(scale, seed, &entries);
         if let Some(path) = golden_write {
@@ -698,28 +688,21 @@ fn main() {
             scale.0,
             if threads == 1 { "" } else { "s" }
         );
-        let measurements = if checkpoint_dir.is_some() {
-            let journal = open_journal(scale);
-            let run = swan_core::try_execute_plan_checkpointed(
-                &kernels,
-                &selected,
-                threads,
-                store.as_deref(),
-                &journal,
-                None,
-                |msg| eprintln!("  [{:6.1}s] {msg}", t0.elapsed().as_secs_f32()),
-            );
-            print_checkpoint_stats(&journal, &run);
-            exit_on_failures(&run.failures);
-            run.measurements
-                .into_iter()
-                .map(|m| m.expect("no failures, so every group measured"))
-                .collect()
-        } else {
-            swan_core::execute_plan_with(&kernels, &selected, threads, store.as_deref(), |msg| {
-                eprintln!("  [{:6.1}s] {msg}", t0.elapsed().as_secs_f32());
-            })
-        };
+        let journal = checkpoint_dir.as_ref().map(|_| open_journal(scale));
+        let run = swan_core::try_execute_plan_checkpointed(
+            &kernels,
+            &selected,
+            threads,
+            store.as_ref(),
+            journal.as_ref(),
+            None,
+            |msg| eprintln!("  [{:6.1}s] {msg}", t0.elapsed().as_secs_f32()),
+        );
+        if let Some(journal) = &journal {
+            print_checkpoint_stats(journal, &run);
+        }
+        exit_on_failures(&run.failures);
+        let measurements = run.into_measurements();
         print_store_stats();
         print_scenarios(&selected, &measurements);
         eprintln!("done in {:.1}s", t0.elapsed().as_secs_f32());
@@ -755,33 +738,25 @@ fn main() {
             if threads == 1 { "" } else { "s" }
         );
         let t0 = std::time::Instant::now();
-        let s = if checkpoint_dir.is_some() {
-            // Checkpointed campaign: resume whatever the journal
-            // already holds (from a killed run or `--worker` shards),
-            // simulate only the remaining groups, aggregate as usual.
-            let journal = open_journal(scale);
-            let full = swan_core::plan(&kernels, scale, seed);
-            let run = swan_core::try_execute_plan_checkpointed(
-                &kernels,
-                &full,
-                threads,
-                store.as_deref(),
-                &journal,
-                None,
-                |msg| eprintln!("  [{:6.1}s] {msg}", t0.elapsed().as_secs_f32()),
-            );
-            print_checkpoint_stats(&journal, &run);
-            exit_on_failures(&run.failures);
-            swan_core::aggregate(&kernels, &full, &run.measurements, scale)
-        } else {
-            let mut runner = SuiteRunner::new(scale, seed).threads(threads);
-            if let Some(s) = &store {
-                runner = runner.store(s.clone());
-            }
-            runner.run(&kernels, |msg| {
-                eprintln!("  [{:6.1}s] {msg}", t0.elapsed().as_secs_f32());
-            })
-        };
+        // With --checkpoint, resume whatever the journal already holds
+        // (from a killed run or `--worker` shards) and simulate only
+        // the remaining groups.
+        let journal = checkpoint_dir.as_ref().map(|_| open_journal(scale));
+        let full = swan_core::plan(&kernels, scale, seed);
+        let run = swan_core::try_execute_plan_checkpointed(
+            &kernels,
+            &full,
+            threads,
+            store.as_ref(),
+            journal.as_ref(),
+            None,
+            |msg| eprintln!("  [{:6.1}s] {msg}", t0.elapsed().as_secs_f32()),
+        );
+        if let Some(journal) = &journal {
+            print_checkpoint_stats(journal, &run);
+        }
+        exit_on_failures(&run.failures);
+        let s = swan_core::aggregate(&kernels, &full, &run.measurements, scale);
         eprintln!("suite done in {:.1}s", t0.elapsed().as_secs_f32());
         print_store_stats();
         Some(s)

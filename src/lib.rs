@@ -39,7 +39,7 @@ pub fn suite() -> Vec<Box<dyn swan_core::Kernel>> {
 pub mod prelude {
     pub use swan_core::{
         measure, measure_multi, plan, verify_kernel, Impl, Kernel, KernelMeta, Library,
-        Measurement, Scale, Scenario, ScenarioFilter, SuiteRunner,
+        Measurement, Scale, Scenario, ScenarioFilter,
     };
     pub use swan_simd::{Vreg, Width};
     pub use swan_uarch::{CoreConfig, CoreId};

@@ -13,7 +13,7 @@
 use std::fs;
 use std::path::PathBuf;
 use swan::prelude::*;
-use swan_core::{plan, CampaignJournal, Measurement};
+use swan_core::{plan, CampaignJournal, CheckpointedRun, Measurement};
 
 const SEED: u64 = 7;
 
@@ -44,6 +44,35 @@ fn assert_bit_identical(a: &[Measurement], b: &[Measurement], what: &str) {
     }
 }
 
+/// Run the journaled campaign serially, returning its plan-order
+/// measurements (every group must succeed) and its accounting.
+fn execute(
+    kernels: &[Box<dyn Kernel>],
+    matrix: &[Scenario],
+    journal: &CampaignJournal,
+) -> (Vec<Measurement>, CheckpointedRun) {
+    let run = swan_core::try_execute_plan_checkpointed(
+        kernels,
+        matrix,
+        1,
+        None,
+        Some(journal),
+        None,
+        |_| {},
+    );
+    assert!(
+        run.failures.is_empty(),
+        "campaign failed: {:?}",
+        run.failures
+    );
+    let measurements = run
+        .measurements
+        .iter()
+        .map(|m| m.clone().expect("every scenario measured"))
+        .collect();
+    (measurements, run)
+}
+
 /// Run one corruption scenario: populate a journal, damage every entry
 /// with `corrupt`, resume, and require detection + re-simulation +
 /// bit-identical results + a healed journal.
@@ -53,8 +82,7 @@ fn corruption_scenario(tag: &str, corrupt: impl Fn(&PathBuf)) {
     let matrix = plan(&kernels, Scale::test(), SEED);
 
     let journal = CampaignJournal::open(&dir, &kernels, Scale::test(), SEED).expect("open journal");
-    let (cold, populated) =
-        swan_core::execute_plan_checkpointed(&kernels, &matrix, 1, None, &journal, |_| {});
+    let (cold, populated) = execute(&kernels, &matrix, &journal);
     assert_eq!(populated.resumed_groups, 0);
     assert!(
         populated.executed_groups > 0,
@@ -70,8 +98,7 @@ fn corruption_scenario(tag: &str, corrupt: impl Fn(&PathBuf)) {
     // Fresh handle (fresh counters), same directory — like a new
     // process resuming after the damage happened.
     let journal = CampaignJournal::open(&dir, &kernels, Scale::test(), SEED).expect("reopen");
-    let (recovered, run) =
-        swan_core::execute_plan_checkpointed(&kernels, &matrix, 1, None, &journal, |_| {});
+    let (recovered, run) = execute(&kernels, &matrix, &journal);
     assert_eq!(
         journal.stats().discarded,
         entries.len() as u64,
@@ -91,8 +118,7 @@ fn corruption_scenario(tag: &str, corrupt: impl Fn(&PathBuf)) {
     // The re-simulation healed the journal in place: a third run
     // resumes everything and is still bit-identical.
     let journal = CampaignJournal::open(&dir, &kernels, Scale::test(), SEED).expect("reopen");
-    let (warm, run) =
-        swan_core::execute_plan_checkpointed(&kernels, &matrix, 1, None, &journal, |_| {});
+    let (warm, run) = execute(&kernels, &matrix, &journal);
     assert_eq!(journal.stats().discarded, 0, "{tag}: healed");
     assert_eq!(run.resumed_groups, entries.len(), "{tag}: all resumed");
     assert_eq!(run.executed_groups, 0, "{tag}: nothing re-simulated");

@@ -239,7 +239,7 @@ fn resume_reexecutes_nothing_and_matches_serial_bitwise() {
         &plan,
         2,
         None,
-        &journal,
+        Some(&journal),
         Some((0, 2)),
         |_| {},
     );
@@ -253,8 +253,15 @@ fn resume_reexecutes_nothing_and_matches_serial_bitwise() {
     );
 
     // Phase 2: full resume — only the other shard's groups execute.
-    let full =
-        swan_core::try_execute_plan_checkpointed(&kernels, &plan, 2, None, &journal, None, |_| {});
+    let full = swan_core::try_execute_plan_checkpointed(
+        &kernels,
+        &plan,
+        2,
+        None,
+        Some(&journal),
+        None,
+        |_| {},
+    );
     assert!(full.failures.is_empty());
     assert_eq!(full.resumed_groups, half.executed_groups);
     assert_eq!(full.executed_groups, half.skipped_groups);
@@ -266,13 +273,22 @@ fn resume_reexecutes_nothing_and_matches_serial_bitwise() {
     );
 
     // Phase 3: the journal now satisfies the whole plan for free.
-    let replay =
-        swan_core::try_execute_plan_checkpointed(&kernels, &plan, 2, None, &journal, None, |_| {});
+    let replay = swan_core::try_execute_plan_checkpointed(
+        &kernels,
+        &plan,
+        2,
+        None,
+        Some(&journal),
+        None,
+        |_| {},
+    );
     assert_eq!(replay.resumed_groups, total_groups);
     assert_eq!(replay.executed_groups, 0);
     assert_eq!(runs.load(Ordering::SeqCst), total_groups, "still zero");
 
-    let serial = swan_core::execute_plan(&kernels, &plan, 1, |_| {});
+    let serial =
+        swan_core::try_execute_plan_checkpointed(&kernels, &plan, 1, None, None, None, |_| {})
+            .into_measurements();
     for ((sc, got), want) in plan.iter().zip(&replay.measurements).zip(&serial) {
         assert_eq!(
             got.as_ref(),

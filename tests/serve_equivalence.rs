@@ -279,7 +279,9 @@ fn overlapping_queries_execute_each_group_once() {
     // Measurement values every served reply must equal bitwise.
     let plain: Vec<Box<dyn Kernel>> = swan::suite().into_iter().take(2).collect();
     let plan = swan_core::plan(&plain, Scale::test(), SEED);
-    let serial = swan_core::execute_plan_serial(&plain, &plan, |_| {});
+    let serial =
+        swan_core::try_execute_plan_checkpointed(&plain, &plan, 1, None, None, None, |_| {})
+            .into_measurements();
 
     let server = Server::new(
         kernels,

@@ -1,13 +1,15 @@
-//! Streaming/batch equivalence: the sink-based measurement pipeline
-//! must produce bit-identical results to materialize-then-replay.
+//! Record/replay equivalence: the record-once / replay-many
+//! measurement pipeline must produce bit-identical results to
+//! materialize-then-simulate.
 //!
-//! The streaming runner executes one kernel instance twice (cache
-//! warm-up pass + timed pass) instead of capturing a trace and
-//! replaying it twice, so these tests pin down the two facts that make
-//! that equivalent: (1) re-running an instance reproduces its dynamic
-//! trace exactly (same buffers, same addresses, same control flow),
-//! and (2) the incremental core model consumes a stream identically to
-//! a batch replay.
+//! The runner executes each scenario group's kernel once under the
+//! trace codec and replays the recording twice (cache warm-up pass +
+//! timed pass) instead of capturing a trace and simulating it, so
+//! these tests pin down the two facts that make that equivalent:
+//! (1) re-running an instance reproduces its dynamic trace exactly
+//! (same buffers, same addresses, same control flow), and (2) a
+//! replayed recording drives the core models exactly like the
+//! materialized trace does.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -15,9 +17,16 @@ use std::sync::Arc;
 use swan::prelude::*;
 use swan_core::Runnable;
 use swan_simd::trace::{stream_into, Mode, Session};
-use swan_uarch::{MultiCore, SimResult};
+use swan_uarch::SimResult;
 
 const SEED: u64 = 7;
+
+/// Execute a plan with no store, journal or shard; every group must
+/// succeed.
+fn execute(kernels: &[Box<dyn Kernel>], plan: &[Scenario], threads: usize) -> Vec<Measurement> {
+    swan_core::try_execute_plan_checkpointed(kernels, plan, threads, None, None, None, |_| {})
+        .into_measurements()
+}
 
 fn trace_of(inst: &mut dyn swan_core::Runnable, imp: Impl, w: Width) -> swan_simd::TraceData {
     let sess = Session::begin(Mode::Full);
@@ -59,8 +68,10 @@ fn every_kernel_rerun_reproduces_its_trace() {
     }
 }
 
-/// (2) Streaming a kernel into fan-out core models equals capturing
-/// once and batch-replaying, bit for bit, across implementations,
+/// (2) Recording a kernel once and replaying the recording into
+/// fan-out core models (`record_group` + `measure_recorded`) equals
+/// capturing the materialized trace and simulating it per core
+/// (`capture` + `simulate`), bit for bit, across implementations,
 /// widths, and core configurations.
 #[test]
 fn streaming_measurement_equals_batch_replay() {
@@ -90,27 +101,34 @@ fn streaming_measurement_equals_batch_replay() {
             (Impl::Neon, Width::W128),
             (Impl::Neon, Width::W512),
         ] {
-            let mut inst = kernel.instantiate(Scale::test(), SEED);
-
-            // Batch reference: capture one run, warm + timed replay.
-            let tr = trace_of(inst.as_mut(), imp, w);
+            // Reference: capture one run, warm + timed simulation of
+            // the materialized trace.
+            let (tr, work_ops) = swan_core::capture(kernel.as_ref(), imp, w, Scale::test(), SEED);
             let batch: Vec<_> = cfgs.iter().map(|c| swan_uarch::simulate(&tr, c)).collect();
 
-            // Streaming: two more executions of the same instance
-            // drive all three models through the fan-out sink.
-            let mut multi = MultiCore::new(&cfgs);
-            multi.begin_warm();
-            let (_, mut multi, ()) = stream_into(multi, || inst.run(imp, w));
-            multi.begin_timed();
-            let (data, mut multi, ()) = stream_into(multi, || inst.run(imp, w));
-            let streamed = multi.finalize();
+            // Record once, replay warm + timed into all three models.
+            let mut rec =
+                swan_core::record_group(kernel.as_ref(), imp, w, Scale::test(), SEED, None);
+            let factor = if imp == Impl::Neon {
+                w.factor() as f64
+            } else {
+                1.0
+            };
+            let replayed = swan_core::measure_recorded(&mut rec, &cfgs, factor);
 
+            let sims: Vec<_> = replayed.iter().map(|m| m.sim.clone()).collect();
             assert_eq!(
-                batch, streamed,
-                "{lib}.{name} {imp:?}@{w}: streaming != batch"
+                batch, sims,
+                "{lib}.{name} {imp:?}@{w}: replayed != captured"
             );
-            assert_eq!(data.by_op, tr.by_op, "{lib}.{name} {imp:?}@{w}: histograms");
-            assert!(data.instrs.is_empty(), "streaming must not materialize");
+            for m in &replayed {
+                assert_eq!(
+                    m.trace.by_op, tr.by_op,
+                    "{lib}.{name} {imp:?}@{w}: histograms"
+                );
+                assert_eq!(m.work_ops, work_ops, "{lib}.{name} {imp:?}@{w}: work ops");
+                assert!(m.trace.instrs.is_empty(), "replay must not materialize");
+            }
         }
     }
 }
@@ -178,11 +196,17 @@ fn measure_multi_is_consistent_with_single_measures() {
 #[test]
 fn sharded_campaign_matches_serial_run_suite() {
     let kernels: Vec<_> = swan::suite().into_iter().take(8).collect();
-    let serial = swan_core::report::run_suite(&kernels, Scale::test(), SEED, |_| {});
+    let plan = swan_core::plan(&kernels, Scale::test(), SEED);
+    let suite = |threads: usize| {
+        let measurements: Vec<_> = execute(&kernels, &plan, threads)
+            .into_iter()
+            .map(Some)
+            .collect();
+        swan_core::aggregate(&kernels, &plan, &measurements, Scale::test())
+    };
+    let serial = suite(1);
     for threads in [1, 2, 7] {
-        let sharded = swan_core::SuiteRunner::new(Scale::test(), SEED)
-            .threads(threads)
-            .run(&kernels, |_| {});
+        let sharded = suite(threads);
         assert_eq!(serial.kernels.len(), sharded.kernels.len());
         for (s, p) in serial.kernels.iter().zip(sharded.kernels.iter()) {
             assert_eq!(s.meta.id(), p.meta.id(), "kernel order must be stable");
@@ -235,7 +259,7 @@ fn permuted_and_filtered_plans_are_scenario_bit_identical() {
     use std::collections::HashMap;
     let kernels: Vec<_> = swan::suite().into_iter().take(4).collect();
     let plan = swan_core::plan(&kernels, Scale::test(), SEED);
-    let baseline = swan_core::execute_plan(&kernels, &plan, 1, |_| {});
+    let baseline = execute(&kernels, &plan, 1);
     let by_id: HashMap<String, &swan_core::Measurement> = plan
         .iter()
         .zip(baseline.iter())
@@ -246,7 +270,7 @@ fn permuted_and_filtered_plans_are_scenario_bit_identical() {
     // execution group's adjacency and inverts kernel order.
     let mut permuted = plan.clone();
     permuted.reverse();
-    let results = swan_core::execute_plan(&kernels, &permuted, 2, |_| {});
+    let results = execute(&kernels, &permuted, 2);
     assert_eq!(results.len(), permuted.len());
     for (sc, m) in permuted.iter().zip(results.iter()) {
         let b = by_id[&sc.id()];
@@ -260,7 +284,7 @@ fn permuted_and_filtered_plans_are_scenario_bit_identical() {
     let only = swan_core::ScenarioFilter::parse("impl=neon,width=128").unwrap();
     let subset = swan_core::filter_plan(&plan, &[only]);
     assert!(!subset.is_empty() && subset.len() < plan.len());
-    let sub_results = swan_core::execute_plan(&kernels, &subset, 1, |_| {});
+    let sub_results = execute(&kernels, &subset, 1);
     for (sc, m) in subset.iter().zip(sub_results.iter()) {
         assert_eq!(m.sim, by_id[&sc.id()].sim, "{}: subset must match", sc.id());
     }
@@ -297,7 +321,7 @@ fn replayed_campaign_matches_functionally_executed_campaign() {
     }
 
     for threads in [1, 2, 7] {
-        let results = swan_core::execute_plan(&kernels, &plan, threads, |_| {});
+        let results = execute(&kernels, &plan, threads);
         for (sc, m) in plan.iter().zip(&results) {
             assert_eq!(
                 m.sim,
@@ -313,7 +337,7 @@ fn replayed_campaign_matches_functionally_executed_campaign() {
     // (groups broken up, kernels inverted).
     let mut permuted = plan.clone();
     permuted.reverse();
-    let results = swan_core::execute_plan(&kernels, &permuted, 2, |_| {});
+    let results = execute(&kernels, &permuted, 2);
     for (sc, m) in permuted.iter().zip(&results) {
         assert_eq!(m.sim, reference[&sc.id()], "{}: permuted plan", sc.id());
     }
@@ -378,7 +402,7 @@ fn each_scenario_group_executes_its_kernel_exactly_once() {
     assert!(plan.len() > groups.len(), "groups must fan out to cores");
     for threads in [1, 2] {
         runs.store(0, Ordering::SeqCst);
-        let results = swan_core::execute_plan(&kernels, &plan, threads, |_| {});
+        let results = execute(&kernels, &plan, threads);
         assert_eq!(results.len(), plan.len());
         assert_eq!(
             runs.load(Ordering::SeqCst),
@@ -387,15 +411,6 @@ fn each_scenario_group_executes_its_kernel_exactly_once() {
              ({threads} threads)"
         );
     }
-    // The single-kernel convenience path keeps the same discipline.
-    runs.store(0, Ordering::SeqCst);
-    let _ = swan_core::measure_kernel(kernels[0].as_ref(), Scale::test(), SEED);
-    let single_groups: std::collections::HashSet<String> = plan
-        .iter()
-        .filter(|sc| sc.kernel == 0)
-        .map(|sc| sc.stream_id())
-        .collect();
-    assert_eq!(runs.load(Ordering::SeqCst), single_groups.len());
 }
 
 /// Multi-process extension of the sharding equivalence: three
@@ -440,7 +455,7 @@ fn multi_process_worker_shards_resume_to_serial_campaign() {
     let only = swan_core::ScenarioFilter::parse("lib=ZL").expect("filter");
     let selected = swan_core::filter_plan(&full, &[only]);
     assert!(!selected.is_empty());
-    let serial = swan_core::execute_plan(&kernels, &selected, 1, |_| {});
+    let serial = execute(&kernels, &selected, 1);
 
     // Resume over the workers' joint journal: everything present,
     // nothing remaining, every measurement bit-identical to serial.
@@ -559,16 +574,19 @@ fn store_backed_recording_is_chunk_resident_and_bit_identical() {
 
     // No other test in this binary spills through the codec, so the
     // process-wide spill counters isolate this store's recorders.
+    let measure_stored = || {
+        let mut rec = swan_core::record_group(
+            kernel.as_ref(),
+            Impl::Scalar,
+            Width::W128,
+            Scale::quick(),
+            42,
+            Some(&store),
+        );
+        swan_core::measure_recorded(&mut rec, &cfgs, 1.0)
+    };
     let before = swan_simd::trace::codec::recorded_totals();
-    let cold = swan_core::measure_multi_with(
-        kernel.as_ref(),
-        Impl::Scalar,
-        Width::W128,
-        &cfgs,
-        Scale::quick(),
-        42,
-        Some(&store),
-    );
+    let cold = measure_stored();
     let after = swan_simd::trace::codec::recorded_totals();
     let spilled = after.spilled_bytes - before.spilled_bytes;
     assert!(
@@ -588,15 +606,7 @@ fn store_backed_recording_is_chunk_resident_and_bit_identical() {
 
     // Warm-store replay: zero functional executions (all hits), same
     // bits as the storeless in-memory flow.
-    let warm = swan_core::measure_multi_with(
-        kernel.as_ref(),
-        Impl::Scalar,
-        Width::W128,
-        &cfgs,
-        Scale::quick(),
-        42,
-        Some(&store),
-    );
+    let warm = measure_stored();
     let stats = store.stats();
     assert_eq!((stats.hits, stats.misses), (1, 1));
     let memory = swan_core::measure_multi(

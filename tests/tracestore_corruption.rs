@@ -1,7 +1,8 @@
-//! Trace-store corruption recovery: a damaged store must never change
-//! campaign results — only cost a re-record.
+//! Trace-store replay and corruption recovery: replaying a store entry
+//! must equal the in-memory recording, and a damaged store must never
+//! change campaign results — only cost a re-record.
 //!
-//! Each scenario damages committed entries a different way (truncated
+//! Each corruption scenario damages committed entries a different way (truncated
 //! chunk, flipped digest byte, stale format version, garbage file) and
 //! asserts the same three facts: the damage is detected *on open*
 //! (before a single record reaches a model), the entry is deleted and
@@ -13,9 +14,21 @@
 use std::fs;
 use std::path::PathBuf;
 use swan::prelude::*;
-use swan_core::{execute_plan_with, plan, Measurement, TraceStore};
+use swan_core::{plan, record_group, try_execute_plan_checkpointed, Measurement, TraceStore};
+use swan_simd::trace::{HashSink, TraceSink};
+use swan_uarch::{MultiCore, SimResult};
 
 const SEED: u64 = 7;
+
+/// Run a store-backed campaign serially; every group must succeed.
+fn execute(
+    kernels: &[Box<dyn Kernel>],
+    matrix: &[Scenario],
+    store: &TraceStore,
+) -> Vec<Measurement> {
+    try_execute_plan_checkpointed(kernels, matrix, 1, Some(store), None, None, |_| {})
+        .into_measurements()
+}
 
 fn store_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("swan-corruption-{tag}-{}", std::process::id()));
@@ -55,7 +68,7 @@ fn corruption_scenario(tag: &str, corrupt: impl Fn(&PathBuf)) {
         .chunk_budget(512);
     let matrix = plan(&kernels, Scale::test(), SEED);
 
-    let cold = execute_plan_with(&kernels, &matrix, 1, Some(&store), |_| {});
+    let cold = execute(&kernels, &matrix, &store);
     let populated = store.stats();
     assert!(populated.inserts > 0, "cold run must populate the store");
     let entries = entry_paths(&store);
@@ -65,7 +78,7 @@ fn corruption_scenario(tag: &str, corrupt: impl Fn(&PathBuf)) {
         corrupt(path);
     }
 
-    let recovered = execute_plan_with(&kernels, &matrix, 1, Some(&store), |_| {});
+    let recovered = execute(&kernels, &matrix, &store);
     let after = store.stats();
     assert_eq!(
         after.corrupt_replaced,
@@ -85,7 +98,7 @@ fn corruption_scenario(tag: &str, corrupt: impl Fn(&PathBuf)) {
 
     // The replacements are healthy: a third run is all hits and still
     // bit-identical.
-    let warm = execute_plan_with(&kernels, &matrix, 1, Some(&store), |_| {});
+    let warm = execute(&kernels, &matrix, &store);
     let healed = store.stats();
     assert_eq!(
         healed.corrupt_replaced, after.corrupt_replaced,
@@ -143,4 +156,103 @@ fn garbage_entry_falls_back_to_rerecord() {
     corruption_scenario("garbage", |path| {
         fs::write(path, b"definitely not a trace").expect("rewrite entry");
     });
+}
+
+/// Warm + timed batch replay of a recording through one model per
+/// config, returning the finalized results.
+fn run_batched(rec: &mut swan_core::GroupRecording, cfgs: &[CoreConfig]) -> Vec<SimResult> {
+    let mut multi = MultiCore::new(cfgs);
+    multi.begin_warm();
+    rec.replay_batches(|b| multi.warm_batch(b));
+    multi.begin_timed();
+    rec.replay_batches(|b| multi.step_batch(b));
+    multi.finalize()
+}
+
+/// Double-buffered store replay: a recording replayed from a chunked
+/// trace-store file (decoder thread running ahead of the simulating
+/// thread, small chunk budget so every batch crosses several chunk
+/// frames) must produce the same instruction stream — same FNV digest,
+/// same count — and the same `SimResult`s as the in-memory batch path.
+#[test]
+fn double_buffered_store_replay_matches_in_memory_batches() {
+    const BUDGET: usize = 2048;
+    const GOLDEN_SEED: u64 = 42;
+    let kernels = swan::suite();
+    let k = kernels
+        .iter()
+        .find(|k| k.meta().id() == "ZL.adler32")
+        .expect("ZL.adler32");
+    let cfgs = [
+        CoreConfig::prime(),
+        CoreConfig::gold(),
+        CoreConfig::silver(),
+    ];
+
+    // In-memory reference recording.
+    let mut mem = record_group(
+        k.as_ref(),
+        Impl::Neon,
+        Width::W128,
+        Scale::quick(),
+        GOLDEN_SEED,
+        None,
+    );
+    assert!(!mem.from_store());
+    let mut mem_hash = HashSink::new();
+    mem.replay_batches(|b| {
+        for ins in b {
+            mem_hash.on_instr(ins);
+        }
+    });
+    let mem_sims = run_batched(&mut mem, &cfgs);
+
+    // Store-backed: record once (cold), then replay from the verified
+    // on-disk entry (warm hit) through the double-buffered decoder.
+    let dir = store_dir("double-buffered");
+    let store = TraceStore::open(&dir, &kernels)
+        .expect("open trace store")
+        .chunk_budget(BUDGET);
+    let cold = record_group(
+        k.as_ref(),
+        Impl::Neon,
+        Width::W128,
+        Scale::quick(),
+        GOLDEN_SEED,
+        Some(&store),
+    );
+    assert!(cold.from_store(), "cold recording spills into the store");
+    let mut warm = record_group(
+        k.as_ref(),
+        Impl::Neon,
+        Width::W128,
+        Scale::quick(),
+        GOLDEN_SEED,
+        Some(&store),
+    );
+    assert!(warm.from_store(), "second lookup must hit the store");
+    let stats = store.stats();
+    assert_eq!((stats.hits, stats.misses), (1, 1));
+
+    let mut store_hash = HashSink::new();
+    warm.replay_batches(|b| {
+        for ins in b {
+            store_hash.on_instr(ins);
+        }
+    });
+    assert_eq!(
+        (mem_hash.digest(), mem_hash.count()),
+        (store_hash.digest(), store_hash.count()),
+        "double-buffered store replay must yield the identical stream"
+    );
+    assert!(
+        mem_hash.count() as usize > 100 * BUDGET / 64,
+        "the stream must span many chunks at this budget"
+    );
+    let store_sims = run_batched(&mut warm, &cfgs);
+    assert_eq!(
+        mem_sims, store_sims,
+        "store-backed batch simulation must equal in-memory"
+    );
+    let _ = fs::remove_dir_all(&dir);
 }
