@@ -4,12 +4,16 @@
 //! The default path is *record-once / replay-many*: the kernel
 //! executes exactly once under a [`swan_simd::RecordSink`] that
 //! encodes the dynamic instruction stream into a compact replay
-//! buffer ([`record`]); the recording is then replayed into one
-//! incremental [`swan_uarch::CoreModel`] per core configuration —
-//! once to warm the caches (§4.3) and once timed — so N
-//! configurations cost one functional execution plus cheap stream
-//! decodes, mirroring the paper's capture-one-trace,
-//! replay-into-every-core methodology. Replay is bit-identical to the
+//! buffer ([`record`]); the recording is then replayed twice into a
+//! [`swan_uarch::MultiCore`] fan-out of the group's core
+//! configurations — once to warm the caches (§4.3) and once timed —
+//! so N configurations cost one functional execution plus cheap
+//! stream decodes, mirroring the paper's capture-one-trace,
+//! replay-into-every-core methodology. Each pass walks the caches
+//! once per distinct memory hierarchy among the configurations (one
+//! for every registered core); the timed pass then runs one scheduler
+//! stage per configuration over the walk's per-instruction cache
+//! latencies. Replay is bit-identical to the
 //! live stream (the codec's contract), so results are unchanged from
 //! the earlier execute-twice streaming flow. [`capture`] +
 //! [`simulate_trace`] remain as the explicit materialized batch path
@@ -284,13 +288,15 @@ pub(crate) fn width_factor(imp: Impl, w: Width) -> f64 {
 }
 
 /// Measure a group recording on several core configurations: the
-/// recording drives a fan-out of one incremental core model per
-/// configuration twice — a first replay warms every model's caches
-/// (§4.3) and a second replay is timed. Both replays run on the batch
-/// path: each arena of decoded instructions is stepped through all N
-/// models while (for store-backed recordings) the next chunk decodes
-/// on a second thread. Returns one [`Measurement`] per entry of
-/// `cfgs`, in order.
+/// recording drives a [`MultiCore`] fan-out twice — a first replay
+/// warms the caches (§4.3) and a second replay is timed. Both replays
+/// run on the batch path while (for store-backed recordings) the next
+/// chunk decodes on a second thread. Each arena of decoded
+/// instructions is walked once through each distinct cache hierarchy
+/// (configurations with equal `MemConfig`s share one); in the timed
+/// pass every configuration's scheduler stage then steps the arena
+/// over that walk's cache latencies. Returns one [`Measurement`] per
+/// entry of `cfgs`, in order.
 pub fn measure_recorded(
     rec: &mut GroupRecording,
     cfgs: &[CoreConfig],

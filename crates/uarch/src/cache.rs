@@ -96,38 +96,63 @@ impl CacheStats {
     }
 }
 
-/// One set-associative cache level; tags ordered most-recent-first.
+/// One set-associative cache level. The tags of all sets live in one
+/// contiguous `sets × ways` array; set `s` owns
+/// `tags[s * ways..][..len[s]]`, ordered most-recent-first, so LRU
+/// replacement is a shift of that slice.
 #[derive(Debug)]
 struct Level {
     cfg: CacheConfig,
-    sets: Vec<Vec<u64>>, // line tags, MRU at index 0
+    tags: Vec<u64>,
+    len: Vec<usize>,
+    /// `sets - 1` when the set count is a power of two, else `None`
+    /// (set index by `%`).
+    mask: Option<usize>,
     stats: CacheStats,
 }
 
 impl Level {
     fn new(cfg: CacheConfig) -> Level {
-        let sets = vec![Vec::new(); cfg.sets()];
+        let sets = cfg.sets();
+        assert!(sets > 0, "cache level {cfg:?} has no sets");
         Level {
+            tags: vec![0; sets * cfg.ways],
+            len: vec![0; sets],
+            mask: sets.is_power_of_two().then_some(sets - 1),
             cfg,
-            sets,
             stats: CacheStats::default(),
         }
     }
 
+    #[inline]
     fn set_index(&self, line_addr: u64) -> usize {
-        (line_addr as usize) % self.sets.len()
+        match self.mask {
+            Some(m) => line_addr as usize & m,
+            None => line_addr as usize % self.len.len(),
+        }
+    }
+
+    /// The set holding `line_addr`: its index and its valid tags.
+    #[inline]
+    fn set(&self, line_addr: u64) -> (usize, &[u64]) {
+        let si = self.set_index(line_addr);
+        let base = si * self.cfg.ways;
+        (si, &self.tags[base..base + self.len[si]])
     }
 
     /// Look up a line; on hit promote to MRU. Returns hit.
+    #[inline]
     fn probe(&mut self, line_addr: u64, demand: bool) -> bool {
         if demand {
             self.stats.accesses += 1;
         }
-        let si = self.set_index(line_addr);
-        let set = &mut self.sets[si];
+        let (si, set) = self.set(line_addr);
         if let Some(pos) = set.iter().position(|&t| t == line_addr) {
-            let t = set.remove(pos);
-            set.insert(0, t);
+            if pos > 0 {
+                let base = si * self.cfg.ways;
+                self.tags.copy_within(base..base + pos, base + 1);
+                self.tags[base] = line_addr;
+            }
             true
         } else {
             if demand {
@@ -137,26 +162,36 @@ impl Level {
         }
     }
 
-    /// Insert a line as MRU, evicting LRU if needed. Returns the
-    /// evicted line, if any.
+    /// Insert a line the level does not hold as MRU, evicting LRU if
+    /// the set is full. Returns the evicted line, if any.
+    #[inline]
     fn fill(&mut self, line_addr: u64) -> Option<u64> {
         let ways = self.cfg.ways;
-        let si = self.set_index(line_addr);
-        let set = &mut self.sets[si];
-        if set.contains(&line_addr) {
-            return None;
-        }
-        set.insert(0, line_addr);
-        if set.len() > ways {
-            set.pop()
+        let (si, set) = self.set(line_addr);
+        debug_assert!(!set.contains(&line_addr), "fill of a resident line");
+        let n = set.len();
+        let base = si * ways;
+        let victim = if n == ways {
+            Some(self.tags[base + ways - 1])
         } else {
+            self.len[si] = n + 1;
             None
-        }
+        };
+        let kept = n.min(ways - 1);
+        self.tags.copy_within(base..base + kept, base + 1);
+        self.tags[base] = line_addr;
+        victim
     }
 
+    #[inline]
     fn invalidate(&mut self, line_addr: u64) {
-        let si = self.set_index(line_addr);
-        self.sets[si].retain(|&t| t != line_addr);
+        let (si, set) = self.set(line_addr);
+        if let Some(pos) = set.iter().position(|&t| t == line_addr) {
+            let n = set.len();
+            let base = si * self.cfg.ways;
+            self.tags.copy_within(base + pos + 1..base + n, base + pos);
+            self.len[si] = n - 1;
+        }
     }
 }
 
@@ -166,23 +201,29 @@ pub struct CacheHierarchy {
     l1: Level,
     l2: Level,
     llc: Level,
+    /// `log2` of the line size when it is a power of two, else `None`
+    /// (line index by `/`).
+    line_shift: Option<u32>,
     dram_latency: u32,
     prefetch_degree: u32,
     dram_accesses: u64,
-    prefetches: u64,
 }
 
 impl CacheHierarchy {
     /// Build a hierarchy from a [`MemConfig`].
     pub fn new(cfg: &MemConfig) -> CacheHierarchy {
         CacheHierarchy {
+            line_shift: cfg
+                .l1d
+                .line
+                .is_power_of_two()
+                .then(|| cfg.l1d.line.trailing_zeros()),
             l1: Level::new(cfg.l1d.clone()),
             l2: Level::new(cfg.l2.clone()),
             llc: Level::new(cfg.llc.clone()),
             dram_latency: cfg.dram_latency,
             prefetch_degree: cfg.prefetch_degree,
             dram_accesses: 0,
-            prefetches: 0,
         }
     }
 
@@ -190,69 +231,78 @@ impl CacheHierarchy {
     /// latency in cycles. Stores update state identically but their
     /// latency is hidden by the store buffer in the core model.
     pub fn access_line(&mut self, addr: u64) -> u32 {
-        let line = addr / self.l1.cfg.line as u64;
-        let lat = self.access_line_inner(line, true);
+        self.demand(self.line_of(addr))
+    }
+
+    /// The index of the line holding byte `addr`.
+    #[inline]
+    fn line_of(&self, addr: u64) -> u64 {
+        match self.line_shift {
+            Some(shift) => addr >> shift,
+            None => addr / self.l1.cfg.line as u64,
+        }
+    }
+
+    /// Demand access of one line (by line index), with next-line
+    /// prefetch on a miss.
+    #[inline]
+    fn demand(&mut self, line: u64) -> u32 {
+        let lat = self.lookup(line, true);
         if lat > self.l1.cfg.latency {
             // Miss somewhere: next-line prefetch.
             for d in 1..=self.prefetch_degree as u64 {
-                self.prefetch_line(line + d);
+                self.lookup(line + d, false);
             }
         }
         lat
     }
 
-    fn access_line_inner(&mut self, line: u64, demand: bool) -> u32 {
+    /// Look a line up level by level, promote it to MRU where found,
+    /// and fill it into every level inside that one; an LLC or L2
+    /// victim leaves the levels inside it. Returns the load-to-use
+    /// latency. Only `demand` lookups count accesses and misses; DRAM
+    /// fetches (demand or prefetch) always count.
+    ///
+    /// The levels stay inclusive (L1 ⊆ L2 ⊆ LLC), so the level that
+    /// hits and every level outside it already hold the line, and
+    /// each level that missed does not.
+    #[inline]
+    fn lookup(&mut self, line: u64, demand: bool) -> u32 {
         if self.l1.probe(line, demand) {
             return self.l1.cfg.latency;
         }
         let lat = if self.l2.probe(line, demand) {
             self.l2.cfg.latency
-        } else if self.llc.probe(line, demand) {
-            self.llc.cfg.latency
         } else {
-            if demand {
-                self.dram_accesses += 1;
-            }
-            self.llc.cfg.latency + self.dram_latency
-        };
-        // Fill inclusively; LLC evictions back-invalidate inner levels.
-        if let Some(victim) = self.llc.fill(line) {
-            self.l2.invalidate(victim);
-            self.l1.invalidate(victim);
-        }
-        if let Some(victim) = self.l2.fill(line) {
-            self.l1.invalidate(victim);
-        }
-        self.l1.fill(line);
-        lat
-    }
-
-    fn prefetch_line(&mut self, line: u64) {
-        self.prefetches += 1;
-        if !self.l1.probe(line, false) {
-            if !self.l2.probe(line, false) && !self.llc.probe(line, false) {
+            let lat = if self.llc.probe(line, demand) {
+                self.llc.cfg.latency
+            } else {
                 self.dram_accesses += 1;
                 if let Some(victim) = self.llc.fill(line) {
                     self.l2.invalidate(victim);
                     self.l1.invalidate(victim);
                 }
-            }
+                self.llc.cfg.latency + self.dram_latency
+            };
             if let Some(victim) = self.l2.fill(line) {
                 self.l1.invalidate(victim);
             }
-            self.l1.fill(line);
-        }
+            lat
+        };
+        self.l1.fill(line);
+        lat
     }
 
     /// Access a byte range, touching every line it covers; returns the
-    /// worst line latency plus one extra cycle per additional line.
+    /// worst line latency plus one extra cycle per additional line. A
+    /// range running past the top of the address space ends at its
+    /// last line.
     pub fn access(&mut self, addr: u64, bytes: u32) -> u32 {
-        let line = self.l1.cfg.line as u64;
-        let first = addr / line;
-        let last = (addr + bytes.max(1) as u64 - 1) / line;
+        let first = self.line_of(addr);
+        let last = self.line_of(addr.saturating_add(bytes.max(1) as u64 - 1));
         let mut worst = 0;
         for l in first..=last {
-            worst = worst.max(self.access_line(l * line));
+            worst = worst.max(self.demand(l));
         }
         worst + (last - first) as u32
     }
@@ -274,7 +324,6 @@ impl CacheHierarchy {
         self.l2.stats = CacheStats::default();
         self.llc.stats = CacheStats::default();
         self.dram_accesses = 0;
-        self.prefetches = 0;
     }
 }
 
@@ -353,6 +402,16 @@ mod tests {
         assert_eq!(h.access(0, 128), 5);
         // Single byte: plain L1 latency.
         assert_eq!(h.access(3, 1), 4);
+    }
+
+    #[test]
+    fn range_past_the_top_of_memory_ends_at_the_last_line() {
+        let mut h = tiny();
+        let top = u64::MAX - 63; // first byte of the last line
+        assert_eq!(h.access(u64::MAX - 3, 64), 131, "one cold line");
+        assert_eq!(h.access(top - 64, u32::MAX), 131 + 1, "two lines");
+        assert_eq!(h.access(top, 1), 4);
+        assert_eq!(h.stats().0.accesses, 4);
     }
 
     #[test]

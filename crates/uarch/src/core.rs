@@ -10,7 +10,7 @@
 //! bubbles) and back-end (ROB-full / operand wait) following the
 //! top-down method the paper uses (§5.4).
 
-use crate::cache::{CacheHierarchy, CacheStats};
+use crate::cache::{CacheHierarchy, CacheStats, MemConfig};
 use crate::config::CoreConfig;
 use swan_simd::trace::{CLASS_COUNT, OP_COUNT};
 use swan_simd::{Op, TraceInstr};
@@ -258,10 +258,10 @@ impl Pool {
     }
 }
 
-/// Per-run scheduler state of the incremental core model. Reset by
-/// [`CoreModel::begin_timed`]; advanced by [`CoreModel::step_batch`].
-/// This is the entire O(core window) resident state of a measurement
-/// — the trace itself is never materialized.
+/// Per-run scheduler state of one core. Reset by
+/// [`MultiCore::begin_timed`]; advanced by [`Sched::step`]. This is the
+/// entire O(core window) resident state of a measurement — the trace
+/// itself is never materialized.
 struct Sched {
     ready: ReadyRing,
     // Functional-unit pools, indexed by `Fu as usize`.
@@ -275,6 +275,9 @@ struct Sched {
     last_commit: u64,
     // ROB occupancy: commit cycles of the last `rob` instructions.
     rob_ring: Vec<u64>,
+    // `idx % rob`, kept as a wrapping counter so the loop divides
+    // nothing.
+    rob_pos: usize,
     idx: usize,
     last_issue: u64,
     fe_stalls: u64,
@@ -302,6 +305,7 @@ impl Sched {
             committed_in_cycle: 0,
             last_commit: 0,
             rob_ring: vec![0; cfg.rob as usize],
+            rob_pos: 0,
             idx: 0,
             last_issue: 0,
             fe_stalls: 0,
@@ -325,6 +329,7 @@ impl Sched {
         self.committed_in_cycle = 0;
         self.last_commit = 0;
         self.rob_ring.fill(0);
+        self.rob_pos = 0;
         self.idx = 0;
         self.last_issue = 0;
         self.fe_stalls = 0;
@@ -334,128 +339,29 @@ impl Sched {
         self.by_op = [0; OP_COUNT];
         self.by_class = [0; CLASS_COUNT];
     }
-}
 
-/// Simulation phase of an incremental model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Phase {
-    /// Only the memory reference stream touches the caches (the
-    /// paper's pre-measurement cache warming, §4.3).
-    Warm,
-    /// Full timed scheduling.
-    Timed,
-}
-
-/// The trace-driven core model (caches persist across runs so a warm-up
-/// pass can precede the timed run).
-///
-/// The model is *incremental*: it consumes a stream as a sequence of
-/// decoded instruction batches ([`CoreModel::warm_batch`],
-/// [`CoreModel::step_batch`]), and how the stream is cut into batches
-/// never changes the result. [`crate::simulate`] feeds a materialized
-/// trace as one batch; the campaign executor feeds decoded replay
-/// arenas through [`MultiCore`].
-pub struct CoreModel {
-    cfg: CoreConfig,
-    caches: CacheHierarchy,
-    phase: Phase,
-    sched: Sched,
-}
-
-impl std::fmt::Debug for CoreModel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CoreModel")
-            .field("cfg", &self.cfg.name)
-            .field("phase", &self.phase)
-            .field("instrs", &self.sched.idx)
-            .finish()
-    }
-}
-
-impl CoreModel {
-    /// Create a model with cold caches, ready for a timed run.
-    pub fn new(cfg: CoreConfig) -> CoreModel {
-        let caches = CacheHierarchy::new(&cfg.mem);
-        let sched = Sched::new(&cfg);
-        CoreModel {
-            cfg,
-            caches,
-            phase: Phase::Timed,
-            sched,
-        }
-    }
-
-    /// The configuration this model simulates.
-    pub fn config(&self) -> &CoreConfig {
-        &self.cfg
-    }
-
-    /// Test hook: a model with an explicitly sized ready ring, for
-    /// checking that the ROB-bounded default ring is exact.
-    #[cfg(test)]
-    fn with_ready_ring(cfg: CoreConfig, size: usize) -> CoreModel {
-        let mut m = CoreModel::new(cfg);
-        m.sched.ready = ReadyRing::with_size(size);
-        m
-    }
-
-    /// Enter the warm-up phase: subsequent [`CoreModel::step_batch`]es
-    /// replay only the memory reference stream into the caches (no
-    /// timing).
-    pub fn begin_warm(&mut self) {
-        self.phase = Phase::Warm;
-    }
-
-    /// Enter (or restart) the timed phase: scheduler state and cache
-    /// *statistics* are reset; cache *contents* persist, so a completed
-    /// warm-up pass carries over exactly as in the batch flow.
-    pub fn begin_timed(&mut self) {
-        self.sched.reset();
-        self.caches.reset_stats();
-        self.phase = Phase::Timed;
-    }
-
-    /// Replay a batch's memory reference stream into the caches — the
-    /// warm pass, with no per-instruction phase check. Touches only
-    /// cache state; never allocates (see CONTRIBUTING, "The hot
-    /// loop").
-    pub fn warm_batch(&mut self, batch: &[TraceInstr]) {
-        for ins in batch {
-            if let Some(m) = ins.mem {
-                self.caches.access(m.addr, m.bytes);
-            }
-        }
-    }
-
-    /// Consume a batch of dynamic instructions: one phase dispatch for
-    /// the whole slice, then the monomorphic warm or timed loop. The
-    /// replay engine feeds it
-    /// [`swan_simd::EncodedTrace::replay_batches`]-style decoded
-    /// arenas; splitting a stream into batches differently never
-    /// changes the result (`tests/model_properties.rs`).
-    pub fn step_batch(&mut self, batch: &[TraceInstr]) {
-        match self.phase {
-            Phase::Warm => self.warm_batch(batch),
-            Phase::Timed => self.timed_batch(batch),
-        }
-    }
-
-    /// The timed hot loop. Loop-invariant configuration reads are
-    /// hoisted into the prologue; the body is one `OP_COST` load, the
-    /// fixed-array unit min-scan, and the cache walk — no allocation,
-    /// no virtual calls, no re-derived invariants (see CONTRIBUTING,
-    /// "The hot loop").
-    fn timed_batch(&mut self, batch: &[TraceInstr]) {
-        let caches = &mut self.caches;
-        let s = &mut self.sched;
+    /// The scheduler stage: fetch, dispatch, issue, execute and commit
+    /// one batch, with each instruction's cache latency read from
+    /// `mem_lat` (the [`MemStage::walk`] of the same batch).
+    /// Loop-invariant configuration reads are hoisted into the
+    /// prologue; the body is one `OP_COST` load and the fixed-array
+    /// unit min-scan — no allocation, no virtual calls, no re-derived
+    /// invariants (see CONTRIBUTING, "The hot loop").
+    fn step(&mut self, cfg: &CoreConfig, batch: &[TraceInstr], mem_lat: &[u32]) {
+        assert_eq!(
+            batch.len(),
+            mem_lat.len(),
+            "one cache latency per instruction"
+        );
+        let s = self;
         // --- prologue: loop-invariant config reads ---
-        let decode_width = self.cfg.decode_width;
-        let commit_width = self.cfg.commit_width;
-        let in_order = self.cfg.in_order;
-        let mispredict_per_mille = self.cfg.mispredict_per_mille as u64;
-        let mispredict_penalty = self.cfg.mispredict_penalty as u64;
+        let decode_width = cfg.decode_width;
+        let commit_width = cfg.commit_width;
+        let in_order = cfg.in_order;
+        let mispredict_per_mille = cfg.mispredict_per_mille as u64;
+        let mispredict_penalty = cfg.mispredict_penalty as u64;
         let rob = s.rob_ring.len();
-        for ins in batch {
+        for (ins, &mem_lat) in batch.iter().zip(mem_lat) {
             s.by_op[ins.op as usize] += 1;
             s.by_class[ins.class as usize] += 1;
 
@@ -467,7 +373,7 @@ impl CoreModel {
             s.fetched_in_cycle += 1;
 
             // --- dispatch: ROB space ---
-            let rob_free = s.rob_ring[s.idx % rob];
+            let rob_free = s.rob_ring[s.rob_pos];
             let mut dispatch = s.fetch_cycle;
             if rob_free > dispatch {
                 // Attribute the blocked interval once (intervals are
@@ -499,13 +405,9 @@ impl CoreModel {
             s.last_issue = issue;
 
             // --- execute ---
+            // A store's `mem_lat` is 0: the store buffer hides it.
             let exec_lat = if ins.op.is_load() {
-                let m = ins.mem.expect("load without memory reference");
-                lat + caches.access(m.addr, m.bytes)
-            } else if ins.op.is_store() {
-                let m = ins.mem.expect("store without memory reference");
-                caches.access(m.addr, m.bytes);
-                lat // store buffer hides the cache latency
+                lat + mem_lat
             } else {
                 lat.max(1)
             };
@@ -539,43 +441,174 @@ impl CoreModel {
                 s.committed_in_cycle = 0;
             }
             s.committed_in_cycle += 1;
-            s.rob_ring[s.idx % rob] = c;
+            s.rob_ring[s.rob_pos] = c;
+            s.rob_pos = if s.rob_pos + 1 == rob {
+                0
+            } else {
+                s.rob_pos + 1
+            };
             s.last_commit = c;
             s.idx += 1;
         }
+    }
+}
+
+/// The memory stage of one cache hierarchy: the caches plus a reused
+/// per-instruction latency buffer for the scheduler stage.
+///
+/// `CacheHierarchy::access` runs in program order whatever the
+/// schedule does, so a batch's cache latencies can be computed before
+/// any core schedules it, and one walk serves every core whose
+/// [`MemConfig`] is the same.
+struct MemStage {
+    caches: CacheHierarchy,
+    lat: Vec<u32>,
+}
+
+impl MemStage {
+    fn new(cfg: &MemConfig) -> MemStage {
+        MemStage {
+            caches: CacheHierarchy::new(cfg),
+            lat: Vec::new(),
+        }
+    }
+
+    /// Warm pass: every memory reference of the batch touches the
+    /// caches.
+    fn warm(&mut self, batch: &[TraceInstr]) {
+        for ins in batch {
+            if let Some(m) = ins.mem {
+                self.caches.access(m.addr, m.bytes);
+            }
+        }
+    }
+
+    /// Timed pass: walk the batch's loads and stores through the
+    /// caches in program order, leaving each instruction's load-to-use
+    /// cache latency in `lat` (0 for stores and non-memory ops). The
+    /// buffer is reused, so steady state allocates nothing.
+    fn walk(&mut self, batch: &[TraceInstr]) {
+        let caches = &mut self.caches;
+        self.lat.clear();
+        self.lat.extend(batch.iter().map(|ins| {
+            if ins.op.is_load() {
+                let m = ins.mem.expect("load without memory reference");
+                caches.access(m.addr, m.bytes)
+            } else if ins.op.is_store() {
+                let m = ins.mem.expect("store without memory reference");
+                caches.access(m.addr, m.bytes);
+                0
+            } else {
+                0
+            }
+        }));
+    }
+}
+
+/// Simulation phase of a fan-out.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Phase {
+    /// Only the memory reference stream touches the caches (the
+    /// paper's pre-measurement cache warming, §4.3).
+    Warm,
+    /// Full timed scheduling.
+    Timed,
+}
+
+/// The trace-driven core model (caches persist across runs so a warm-up
+/// pass can precede the timed run).
+///
+/// The model is *incremental*: it consumes a stream as a sequence of
+/// decoded instruction batches ([`CoreModel::warm_batch`],
+/// [`CoreModel::step_batch`]), and how the stream is cut into batches
+/// never changes the result. [`crate::simulate`] feeds a materialized
+/// trace as one batch; the campaign executor feeds decoded replay
+/// arenas through [`MultiCore`]. A `CoreModel` is a one-core
+/// [`MultiCore`], so both run the same memory and scheduler stages.
+pub struct CoreModel {
+    inner: MultiCore,
+}
+
+impl std::fmt::Debug for CoreModel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let core = &self.inner.cores[0];
+        f.debug_struct("CoreModel")
+            .field("cfg", &core.cfg.name)
+            .field("phase", &self.inner.phase)
+            .field("instrs", &core.sched.idx)
+            .finish()
+    }
+}
+
+impl CoreModel {
+    /// Create a model with cold caches, ready for a timed run.
+    pub fn new(cfg: CoreConfig) -> CoreModel {
+        CoreModel {
+            inner: MultiCore::new(std::slice::from_ref(&cfg)),
+        }
+    }
+
+    /// The configuration this model simulates.
+    pub fn config(&self) -> &CoreConfig {
+        &self.inner.cores[0].cfg
+    }
+
+    /// Test hook: a model with an explicitly sized ready ring, for
+    /// checking that the ROB-bounded default ring is exact.
+    #[cfg(test)]
+    fn with_ready_ring(cfg: CoreConfig, size: usize) -> CoreModel {
+        let mut m = CoreModel::new(cfg);
+        m.inner.cores[0].sched.ready = ReadyRing::with_size(size);
+        m
+    }
+
+    /// Enter the warm-up phase: subsequent [`CoreModel::step_batch`]es
+    /// replay only the memory reference stream into the caches (no
+    /// timing).
+    pub fn begin_warm(&mut self) {
+        self.inner.begin_warm();
+    }
+
+    /// Enter (or restart) the timed phase: scheduler state and cache
+    /// *statistics* are reset; cache *contents* persist, so a completed
+    /// warm-up pass carries over exactly as in the batch flow.
+    pub fn begin_timed(&mut self) {
+        self.inner.begin_timed();
+    }
+
+    /// Replay a batch's memory reference stream into the caches — the
+    /// warm pass, with no per-instruction phase check. Touches only
+    /// cache state; never allocates (see CONTRIBUTING, "The hot
+    /// loop").
+    pub fn warm_batch(&mut self, batch: &[TraceInstr]) {
+        self.inner.warm_batch(batch);
+    }
+
+    /// Consume a batch of dynamic instructions: one phase dispatch for
+    /// the whole slice, then the warm walk, or the memory stage
+    /// followed by the scheduler stage. The replay engine feeds it
+    /// [`swan_simd::EncodedTrace::replay_batches`]-style decoded
+    /// arenas; splitting a stream into batches differently never
+    /// changes the result (`tests/model_properties.rs`).
+    pub fn step_batch(&mut self, batch: &[TraceInstr]) {
+        self.inner.step_batch(batch);
     }
 
     /// Finish a timed run: aggregate statistics, reset the scheduler
     /// and cache statistics for the next run. Cache contents persist.
     pub fn finalize(&mut self) -> SimResult {
-        let s = &self.sched;
-        let cycles = s.last_commit + 1;
-        let (l1d, l2, llc) = self.caches.stats();
-        let dram = self.caches.dram_accesses();
-        let result = SimResult {
-            cycles,
-            instrs: s.idx as u64,
-            fe_stall_cycles: s.fe_stalls.min(cycles),
-            be_stall_cycles: s.be_stalls.min(cycles),
-            l1d,
-            l2,
-            llc,
-            dram_accesses: dram,
-            seconds: self.cfg.cycles_to_seconds(cycles),
-            by_op: s.by_op,
-            by_class: s.by_class,
-        };
-        self.caches.reset_stats();
-        self.sched.reset();
-        self.phase = Phase::Timed;
-        result
+        self.inner
+            .finalize()
+            .pop()
+            .expect("a CoreModel drives exactly one core")
     }
 }
 
 /// Cumulative batch-phase counters of one [`MultiCore`] fan-out:
 /// how many decoded batches (and stream instructions) each replay
-/// phase consumed. Always on — four `u64` adds per batch are noise
-/// next to stepping the batch through N models — and surfaced by
+/// phase consumed, and how many instructions the memory stages
+/// walked. Always on — a few `u64` adds per batch are noise next to
+/// stepping the batch through N models — and surfaced by
 /// `swan_core::profile` as the warm/timed instruction counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BatchStats {
@@ -587,26 +620,75 @@ pub struct BatchStats {
     pub timed_batches: u64,
     /// Stream instructions replayed during the timed phase.
     pub timed_instrs: u64,
+    /// Stream instructions walked through a cache hierarchy, warm and
+    /// timed, summed over the fan-out's distinct hierarchies.
+    pub cache_walk_instrs: u64,
 }
 
-/// Fan-out driving several core models from one instruction stream:
-/// each decoded batch is stepped through every model, so N core
-/// configurations are measured from a single recorded kernel run
-/// instead of N capture/replay round-trips.
-#[derive(Debug)]
+/// One core of a fan-out: its configuration, scheduler state, and the
+/// index of the memory stage it reads.
+struct Core {
+    cfg: CoreConfig,
+    sched: Sched,
+    mem: usize,
+}
+
+/// Fan-out driving several core models from one instruction stream,
+/// so N core configurations are measured from a single recorded
+/// kernel run instead of N capture/replay round-trips.
+///
+/// The fan-out keeps one cache hierarchy per *distinct* [`MemConfig`]
+/// among its configurations (compared with `==`) and one scheduler per
+/// core. Each batch is walked once through each hierarchy — the warm
+/// pass touches every memory reference, the timed pass's memory stage
+/// walks loads and stores into a latency buffer — and the timed
+/// pass's scheduler stage then runs once per core, reading its
+/// hierarchy's latencies. The hierarchy's walk is independent of
+/// timing, so the results equal N independent [`CoreModel`]s.
 pub struct MultiCore {
-    models: Vec<CoreModel>,
+    mems: Vec<MemStage>,
+    cores: Vec<Core>,
     stats: BatchStats,
-    timed: bool,
+    phase: Phase,
+}
+
+impl std::fmt::Debug for MultiCore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let names: Vec<_> = self.cores.iter().map(|c| &c.cfg.name).collect();
+        f.debug_struct("MultiCore")
+            .field("cores", &names)
+            .field("hierarchies", &self.mems.len())
+            .field("phase", &self.phase)
+            .field("stats", &self.stats)
+            .finish()
+    }
 }
 
 impl MultiCore {
-    /// Build one cold model per configuration.
+    /// Build one cold model per configuration, ready for a timed run;
+    /// configurations with equal [`MemConfig`]s share one hierarchy.
     pub fn new(cfgs: &[CoreConfig]) -> MultiCore {
+        let mut mems = Vec::new();
+        let mut cores: Vec<Core> = Vec::with_capacity(cfgs.len());
+        for cfg in cfgs {
+            let mem = match cores.iter().find(|c| c.cfg.mem == cfg.mem) {
+                Some(c) => c.mem,
+                None => {
+                    mems.push(MemStage::new(&cfg.mem));
+                    mems.len() - 1
+                }
+            };
+            cores.push(Core {
+                cfg: cfg.clone(),
+                sched: Sched::new(cfg),
+                mem,
+            });
+        }
         MultiCore {
-            models: cfgs.iter().map(|c| CoreModel::new(c.clone())).collect(),
+            mems,
+            cores,
             stats: BatchStats::default(),
-            timed: false,
+            phase: Phase::Timed,
         }
     }
 
@@ -617,60 +699,93 @@ impl MultiCore {
 
     /// Number of driven models.
     pub fn len(&self) -> usize {
-        self.models.len()
+        self.cores.len()
     }
 
     /// Whether the fan-out is empty.
     pub fn is_empty(&self) -> bool {
-        self.models.is_empty()
+        self.cores.is_empty()
     }
 
     /// Enter the cache warm-up phase on every model.
     pub fn begin_warm(&mut self) {
-        self.timed = false;
-        for m in &mut self.models {
-            m.begin_warm();
-        }
+        self.phase = Phase::Warm;
     }
 
-    /// Enter the timed phase on every model.
+    /// Enter (or restart) the timed phase on every model: scheduler
+    /// state and cache statistics reset, cache contents persist.
     pub fn begin_timed(&mut self) {
-        self.timed = true;
-        for m in &mut self.models {
-            m.begin_timed();
+        for c in &mut self.cores {
+            c.sched.reset();
         }
+        for m in &mut self.mems {
+            m.caches.reset_stats();
+        }
+        self.phase = Phase::Timed;
     }
 
     /// Warm every model's caches from one resident decoded batch: the
-    /// batch is decoded once and walked N times (the fan-out form of
+    /// batch is walked once per distinct hierarchy (the fan-out form of
     /// [`CoreModel::warm_batch`]).
     pub fn warm_batch(&mut self, batch: &[TraceInstr]) {
         self.stats.warm_batches += 1;
         self.stats.warm_instrs += batch.len() as u64;
-        for m in &mut self.models {
-            m.warm_batch(batch);
+        self.stats.cache_walk_instrs += (batch.len() * self.mems.len()) as u64;
+        for m in &mut self.mems {
+            m.warm(batch);
         }
     }
 
-    /// Step every model over one resident decoded batch, per its
-    /// phase (the fan-out form of [`CoreModel::step_batch`]): decode
-    /// once, simulate all N configurations.
+    /// Step every model over one resident decoded batch, per the phase
+    /// (the fan-out form of [`CoreModel::step_batch`]). Timed, the
+    /// memory stage runs once per distinct hierarchy, then the
+    /// scheduler stage once per core.
     pub fn step_batch(&mut self, batch: &[TraceInstr]) {
-        if self.timed {
-            self.stats.timed_batches += 1;
-            self.stats.timed_instrs += batch.len() as u64;
-        } else {
-            self.stats.warm_batches += 1;
-            self.stats.warm_instrs += batch.len() as u64;
+        if self.phase == Phase::Warm {
+            self.warm_batch(batch);
+            return;
         }
-        for m in &mut self.models {
-            m.step_batch(batch);
+        self.stats.timed_batches += 1;
+        self.stats.timed_instrs += batch.len() as u64;
+        self.stats.cache_walk_instrs += (batch.len() * self.mems.len()) as u64;
+        for m in &mut self.mems {
+            m.walk(batch);
+        }
+        for c in &mut self.cores {
+            c.sched.step(&c.cfg, batch, &self.mems[c.mem].lat);
         }
     }
 
-    /// Finish the timed run on every model, in configuration order.
+    /// Finish the timed run on every model, in configuration order;
+    /// each result carries its hierarchy's cache and DRAM statistics.
+    /// Scheduler state and cache statistics reset for the next run;
+    /// cache contents persist.
     pub fn finalize(&mut self) -> Vec<SimResult> {
-        self.models.iter_mut().map(|m| m.finalize()).collect()
+        let results = self
+            .cores
+            .iter()
+            .map(|c| {
+                let s = &c.sched;
+                let caches = &self.mems[c.mem].caches;
+                let cycles = s.last_commit + 1;
+                let (l1d, l2, llc) = caches.stats();
+                SimResult {
+                    cycles,
+                    instrs: s.idx as u64,
+                    fe_stall_cycles: s.fe_stalls.min(cycles),
+                    be_stall_cycles: s.be_stalls.min(cycles),
+                    l1d,
+                    l2,
+                    llc,
+                    dram_accesses: caches.dram_accesses(),
+                    seconds: c.cfg.cycles_to_seconds(cycles),
+                    by_op: s.by_op,
+                    by_class: s.by_class,
+                }
+            })
+            .collect();
+        self.begin_timed();
+        results
     }
 }
 
@@ -908,22 +1023,69 @@ mod tests {
         })
     }
 
-    #[test]
-    fn multicore_fanout_matches_independent_models() {
-        let t = mixed_trace();
-        let cfgs = [
-            CoreConfig::prime(),
-            CoreConfig::gold(),
-            CoreConfig::silver(),
-        ];
-        let solo: Vec<SimResult> = cfgs.iter().map(|c| crate::simulate(&t, c)).collect();
-        let mut multi = MultiCore::new(&cfgs);
+    /// Warm then time a fan-out over `t`, each pass as one batch.
+    fn fan_out(cfgs: &[CoreConfig], t: &TraceData) -> (Vec<SimResult>, BatchStats) {
+        let mut multi = MultiCore::new(cfgs);
         multi.begin_warm();
         multi.warm_batch(&t.instrs);
         multi.begin_timed();
         multi.step_batch(&t.instrs);
-        let fanned = multi.finalize();
-        assert_eq!(solo, fanned);
+        (multi.finalize(), multi.batch_stats())
+    }
+
+    #[test]
+    fn multicore_fanout_matches_independent_models() {
+        let t = mixed_trace();
+        let n = t.instrs.len() as u64;
+        let mut no_prefetch = CoreConfig::prime();
+        no_prefetch.mem.prefetch_degree = 0;
+        let mut small_l1 = CoreConfig::silver();
+        small_l1.mem.l1d.size = 16 << 10;
+        // (configurations, distinct memory hierarchies among them)
+        let fan_outs = [
+            (
+                vec![
+                    CoreConfig::prime(),
+                    CoreConfig::gold(),
+                    CoreConfig::silver(),
+                ],
+                1,
+            ),
+            (
+                vec![
+                    no_prefetch,
+                    CoreConfig::gold(),
+                    small_l1,
+                    CoreConfig::prime(),
+                ],
+                3,
+            ),
+        ];
+        for (cfgs, distinct) in fan_outs {
+            let solo: Vec<SimResult> = cfgs.iter().map(|c| crate::simulate(&t, c)).collect();
+            let (fanned, stats) = fan_out(&cfgs, &t);
+            assert_eq!(solo, fanned);
+            assert_eq!(
+                stats.cache_walk_instrs,
+                2 * n * distinct,
+                "{distinct} hierarchies"
+            );
+        }
+    }
+
+    #[test]
+    fn fresh_fanout_steps_timed_and_cold() {
+        let t = mixed_trace();
+        let cfgs = [CoreConfig::prime(), CoreConfig::silver()];
+        let mut multi = MultiCore::new(&cfgs);
+        multi.step_batch(&t.instrs);
+        let cold: Vec<SimResult> = cfgs.iter().map(|c| crate::simulate_cold(&t, c)).collect();
+        assert_eq!(multi.finalize(), cold);
+        let stats = multi.batch_stats();
+        assert_eq!(
+            (stats.timed_instrs, stats.warm_instrs),
+            (t.instrs.len() as u64, 0)
+        );
     }
 
     #[test]
