@@ -9,8 +9,8 @@ use swan_bench::{find, measure_point, REPRESENTATIVES};
 use swan_core::profile;
 use swan_core::report;
 use swan_core::{
-    aggregate, capture, measure_multi, measure_recorded, plan, record, record_group,
-    simulate_trace, try_execute_plan_checkpointed, Impl, Kernel, Scale, TraceStore,
+    aggregate, capture, measure_group, measure_multi, plan, record, simulate_trace,
+    try_execute_plan_checkpointed, Impl, Kernel, Scale, TraceStore,
 };
 use swan_simd::Width;
 use swan_uarch::{CoreConfig, MultiCore};
@@ -262,8 +262,17 @@ fn campaign_threads(c: &mut Criterion) {
         let kernels_for_digest = swan_kernels::all_kernels();
         let store = TraceStore::open(&dir, &kernels_for_digest).expect("open bench trace store");
         let measure_stored = || {
-            let mut rec = record_group(k, Impl::Neon, Width::W128, SCALE, 42, Some(&store));
-            measure_recorded(&mut rec, &cfgs, Width::W128.factor() as f64).len()
+            let (ms, _) = measure_group(
+                k,
+                Impl::Neon,
+                Width::W128,
+                SCALE,
+                42,
+                &cfgs,
+                Some(&store),
+                |_| {},
+            );
+            ms.len()
         };
         g.bench_function("record_to_store_3cores", |b| {
             b.iter(|| {

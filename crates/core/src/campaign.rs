@@ -8,10 +8,11 @@
 //! `std::thread` workers: scenarios sharing one instruction stream
 //! (same kernel, implementation, width — [`Scenario::stream_id`]) are
 //! measured from a *single* functional execution, recorded through
-//! the trace codec and replayed (warm pass + timed pass) into every
-//! member's core model, so the shard unit is a stream group, far
-//! finer than a whole kernel, and the emulator runs each stream only
-//! once. [`aggregate`] folds per-scenario [`Measurement`]s back into
+//! the trace codec while it warms every member's core model, then
+//! replayed once (timed pass) into those models
+//! ([`crate::runner::measure_group`]), so the shard unit is a stream
+//! group, far finer than a whole kernel, and the emulator runs each
+//! stream only once. [`aggregate`] folds per-scenario [`Measurement`]s back into
 //! [`KernelResults`]/[`SuiteResults`], so every `report::fig*/tab*`
 //! generator consumes the same shapes as before.
 //!
@@ -23,7 +24,7 @@
 use crate::checkpoint::CampaignJournal;
 use crate::kernel::{Impl, Kernel, KernelMeta, Scale};
 use crate::report::{KernelResults, SuiteResults, FIG5_KERNELS};
-use crate::runner::{measure_recorded, record_group, width_factor, Measurement};
+use crate::runner::{measure_group, Measurement};
 use crate::scenario::Scenario;
 use crate::tracestore::TraceStore;
 use std::collections::HashMap;
@@ -158,24 +159,6 @@ pub fn execution_groups(plan: &[Scenario]) -> Vec<Vec<usize>> {
     order
 }
 
-/// Measure one execution group: the group's kernel executes *once*,
-/// recorded through the trace codec (or not at all, when `store`
-/// holds a verified recording of the group's stream), and the
-/// recording's warm+timed replays drive one core model per member
-/// scenario. Returns one [`Measurement`] per group member, in group
-/// order.
-fn measure_group(
-    kernel: &dyn Kernel,
-    plan: &[Scenario],
-    group: &[usize],
-    store: Option<&TraceStore>,
-) -> Vec<Measurement> {
-    let sc = &plan[group[0]];
-    let cfgs: Vec<CoreConfig> = group.iter().map(|&i| plan[i].core.config()).collect();
-    let mut rec = record_group(kernel, sc.imp, sc.width, sc.scale, sc.seed, store);
-    measure_recorded(&mut rec, &cfgs, width_factor(sc.imp, sc.width))
-}
-
 fn group_progress(plan: &[Scenario], group: &[usize]) -> String {
     let sc = &plan[group[0]];
     format!(
@@ -215,7 +198,18 @@ fn measure_group_caught(
     let sc = &plan[group[0]];
     let kernel = kernels[sc.kernel].as_ref();
     catch_unwind(AssertUnwindSafe(|| {
-        measure_group(kernel, plan, group, store)
+        let cfgs: Vec<CoreConfig> = group.iter().map(|&i| plan[i].core.config()).collect();
+        measure_group(
+            kernel,
+            sc.imp,
+            sc.width,
+            sc.scale,
+            sc.seed,
+            &cfgs,
+            store,
+            |_| {},
+        )
+        .0
     }))
     .map_err(|p| {
         let message = if let Some(s) = p.downcast_ref::<&str>() {

@@ -19,12 +19,12 @@
 
 use crate::campaign::{execution_groups, scatter_groups, shard_indexed};
 use crate::kernel::{Kernel, Scale};
-use crate::runner::record_group;
+use crate::runner::measure_group;
 use crate::scenario::Scenario;
 use crate::tracestore::TraceStore;
 use std::fmt::Write as _;
 use swan_simd::trace::{HashSink, TraceSink};
-use swan_uarch::{MultiCore, SimResult};
+use swan_uarch::SimResult;
 
 /// One golden record: everything that must stay bit-identical for one
 /// scenario of the campaign.
@@ -47,16 +47,15 @@ pub struct GoldenEntry {
     pub sim: SimResult,
 }
 
-/// Measure one execution group of golden points with the executor's
-/// record-once / replay-many discipline: the group's recording comes
-/// from [`record_group`] (one functional execution on a store miss,
-/// none at all on a verified store hit); it then warms every member
-/// scenario's core, and each decoded batch of the timed replay is
-/// stepped through the fan-out models and folded into the trace
-/// digest at once. Batch decode expands overhead runs exactly like
-/// [`HashSink`]'s default sink expansion, so digests and statistics
-/// are unchanged from a warm+timed execution pair — and identical
-/// with a cold store, a warm store, and no store.
+/// Measure one execution group of golden points on the path the
+/// campaign executor runs, [`measure_group`]: one functional execution
+/// on a store miss (warming every member scenario's core live), none
+/// at all on a verified store hit (warming by replay), then one timed
+/// replay whose batches are also folded into the trace digest. Batch
+/// decode expands overhead runs exactly like [`HashSink`]'s default
+/// sink expansion, so digests and statistics equal a warm+timed
+/// execution pair's — and are identical with a cold store, a warm
+/// store, and no store.
 fn collect_group(
     kernel: &dyn Kernel,
     plan: &[Scenario],
@@ -64,29 +63,32 @@ fn collect_group(
     store: Option<&TraceStore>,
 ) -> Vec<GoldenEntry> {
     let sc = &plan[group[0]];
-    let mut rec = record_group(kernel, sc.imp, sc.width, sc.scale, sc.seed, store);
     let cfgs: Vec<_> = group.iter().map(|&i| plan[i].core.config()).collect();
-    let mut cores = MultiCore::new(&cfgs);
-    cores.begin_warm();
-    rec.replay_batches(|b| cores.warm_batch(b));
-    cores.begin_timed();
     let mut hash = HashSink::new();
-    rec.replay_batches(|b| {
-        cores.step_batch(b);
-        for ins in b {
-            hash.on_instr(ins);
-        }
-    });
+    let (measurements, rec) = measure_group(
+        kernel,
+        sc.imp,
+        sc.width,
+        sc.scale,
+        sc.seed,
+        &cfgs,
+        store,
+        |b| {
+            for ins in b {
+                hash.on_instr(ins);
+            }
+        },
+    );
     let trace_hash = hash.digest();
     group
         .iter()
-        .zip(cores.finalize())
-        .map(|(&i, sim)| GoldenEntry {
+        .zip(measurements)
+        .map(|(&i, m)| GoldenEntry {
             id: plan[i].id(),
             instrs: rec.data.total(),
             trace_hash,
             fallback_refs: rec.fallback_refs,
-            sim,
+            sim: m.sim,
         })
         .collect()
 }

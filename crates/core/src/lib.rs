@@ -45,7 +45,7 @@ pub use kernel::{
 pub use perf::{find, gate, parse_bench_json, probe, BenchRow, GateOutcome, PerfReport};
 pub use profile::{Phase, PhaseSample, ProfileReport, ProfileScope};
 pub use runner::{
-    capture, measure, measure_multi, measure_recorded, record, record_group, simulate_trace,
+    capture, measure, measure_group, measure_multi, record, record_group, simulate_trace,
     verify_kernel, GroupRecording, Measurement,
 };
 pub use scenario::{filter_plan, Scenario, ScenarioFilter};

@@ -169,8 +169,8 @@ pub fn probe(
         rep.decode_ns += t0.elapsed().as_nanos();
         rep.instrs += n;
 
-        // Per-batch profile spans mirror `runner::measure_recorded`,
-        // so `--perf --profile` attributes the probe's replay passes.
+        // Per-batch profile spans mirror `runner::measure_group`'s
+        // replay passes, so `--perf --profile` attributes the probe's.
         let mut batch = MultiCore::new(&cfgs);
         batch.begin_warm();
         let t0 = Instant::now();

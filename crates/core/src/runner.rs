@@ -1,30 +1,35 @@
 //! Measurement runner: trace a kernel invocation, drive it through
 //! the timing model, and attach power/energy.
 //!
-//! The default path is *record-once / replay-many*: the kernel
-//! executes exactly once under a [`swan_simd::RecordSink`] that
-//! encodes the dynamic instruction stream into a compact replay
-//! buffer ([`record`]); the recording is then replayed twice into a
+//! The default path is *record-once / replay-once*
+//! ([`measure_group`]): the kernel executes exactly once under a
+//! recording sink that encodes the dynamic instruction stream into a
+//! compact replay buffer (in memory, or spilled into a trace-store
+//! entry). A warm tap on the same live stream warms the caches of a
 //! [`swan_uarch::MultiCore`] fan-out of the group's core
-//! configurations — once to warm the caches (§4.3) and once timed —
-//! so N configurations cost one functional execution plus cheap
-//! stream decodes, mirroring the paper's capture-one-trace,
-//! replay-into-every-core methodology. Each pass walks the caches
-//! once per distinct memory hierarchy among the configurations (one
-//! for every registered core); the timed pass then runs one scheduler
-//! stage per configuration over the walk's per-instruction cache
-//! latencies. Replay is bit-identical to the
-//! live stream (the codec's contract), so results are unchanged from
-//! the earlier execute-twice streaming flow. [`capture`] +
-//! [`simulate_trace`] remain as the explicit materialized batch path
-//! (and all three are bit-identical; see the `streaming_equivalence`
-//! integration tests).
+//! configurations while the kernel records (§4.3), and the recording
+//! is then replayed once, timed, into the same fan-out — so N
+//! configurations cost one functional execution plus one stream
+//! decode, mirroring the paper's capture-one-trace,
+//! replay-into-every-core methodology. A verified trace-store hit has
+//! no execution to tap, so it warms by a replay first. Each pass walks
+//! the caches once per distinct memory hierarchy among the
+//! configurations (one for every registered core); the timed pass then
+//! runs one scheduler stage per configuration over the walk's
+//! per-instruction cache latencies. Live warming and replay warming
+//! are bit-identical — the warm pass only walks the memory references,
+//! in program order, and the tap sees exactly the instructions the
+//! encoder sees. [`capture`] + [`simulate_trace`] remain as the
+//! explicit materialized batch path (and all are bit-identical; see
+//! the `streaming_equivalence` integration tests).
 
 use crate::kernel::{Impl, Kernel, Scale};
 use crate::profile::{self, Phase, ProfileScope};
 use crate::tracestore::{StoreKey, StoredRecording, TraceStore};
-use swan_simd::trace::{self, session_width, stream_into_at, Mode, Session, TraceSink};
-use swan_simd::{EncodedTrace, RecordSink, TraceData, TraceInstr, Width};
+use swan_simd::trace::{
+    self, session_width, stream_into_at, Mode, Session, TraceSink, DEFAULT_BATCH_INSTRS,
+};
+use swan_simd::{EncodedTrace, RecordSink, TeeRecord, TraceData, TraceInstr, Width};
 use swan_uarch::{simulate, CoreConfig, EnergyModel, MultiCore, SimResult};
 
 /// One measured (kernel, implementation, width, core) point.
@@ -170,25 +175,102 @@ impl GroupRecording {
     }
 }
 
-/// Execute a kernel configuration exactly once and hold the session's
-/// fallback counter alongside the usual outputs — the shared recording
-/// closure of the memory and store paths.
-fn execute_recorded<S: TraceSink>(
+/// The warm half of a live recording: gathers the executing kernel's
+/// instructions into one reused [`DEFAULT_BATCH_INSTRS`] arena and
+/// warms the fan-out's caches with each full arena — the same batches,
+/// overhead runs expanded the same way, that a replay of the recording
+/// would feed [`MultiCore::warm_batch`].
+struct WarmTap {
+    multi: MultiCore,
+    arena: Vec<TraceInstr>,
+}
+
+impl WarmTap {
+    fn new(cfgs: &[CoreConfig]) -> WarmTap {
+        let mut multi = MultiCore::new(cfgs);
+        multi.begin_warm();
+        WarmTap {
+            multi,
+            arena: Vec::with_capacity(DEFAULT_BATCH_INSTRS),
+        }
+    }
+
+    fn warm(&mut self) {
+        let _span = ProfileScope::enter(Phase::Warm);
+        self.multi.warm_batch(&self.arena);
+        self.arena.clear();
+    }
+
+    /// Warm the last, partial arena and hand back the warmed fan-out.
+    fn finish(mut self) -> MultiCore {
+        if !self.arena.is_empty() {
+            self.warm();
+        }
+        self.multi
+    }
+}
+
+impl TraceSink for WarmTap {
+    // Overhead runs use the default expansion, instruction by
+    // instruction, exactly as batch decode expands them.
+    #[inline]
+    fn on_instr(&mut self, ins: &TraceInstr) {
+        self.arena.push(*ins);
+        if self.arena.len() == DEFAULT_BATCH_INSTRS {
+            self.warm();
+        }
+    }
+}
+
+/// One functional execution of a group's kernel into a recording sink.
+struct Executed<R> {
+    data: TraceData,
+    record: R,
+    fallback_refs: u64,
+    work_ops: u64,
+    /// The fan-out its live stream warmed, when one was tapped.
+    warmed: Option<MultiCore>,
+}
+
+/// Execute a kernel configuration exactly once into `record`, holding
+/// the session's fallback counter alongside the usual outputs — the
+/// shared recording closure of the memory and store paths. With
+/// `warm`, the live stream is teed into a [`WarmTap`] over those
+/// configurations, flushed when the session ends.
+fn execute_recorded<R: TraceSink>(
     kernel: &dyn Kernel,
     imp: Impl,
     w: Width,
     scale: Scale,
     seed: u64,
-    sink: S,
-) -> (TraceData, S, u64, u64) {
+    record: R,
+    warm: Option<&[CoreConfig]>,
+) -> Executed<R> {
     let mut inst = kernel.instantiate(scale, seed);
-    let (data, sink, fallback_refs) = stream_into_at(w, sink, || {
+    let run = || {
         inst.run(imp, session_width());
         // Read inside the session so the value is bound to this
         // session's registry.
         trace::buffer_fallback_refs()
-    });
-    (data, sink, fallback_refs, inst.work_ops())
+    };
+    let (data, record, fallback_refs, warmed) = match warm {
+        None => {
+            let (data, record, fallback_refs) = stream_into_at(w, record, run);
+            (data, record, fallback_refs, None)
+        }
+        Some(cfgs) => {
+            let tee = TeeRecord::new(record, WarmTap::new(cfgs));
+            let (data, tee, fallback_refs) = stream_into_at(w, tee, run);
+            (data, tee.record, fallback_refs, Some(tee.inner.finish()))
+        }
+    };
+    Executed {
+        data,
+        record,
+        fallback_refs,
+        work_ops: inst.work_ops(),
+        warmed,
+    }
 }
 
 /// Obtain a scenario group's recording, consulting `store` first when
@@ -209,6 +291,21 @@ pub fn record_group(
     seed: u64,
     store: Option<&TraceStore>,
 ) -> GroupRecording {
+    obtain_recording(kernel, imp, w, scale, seed, store, None).0
+}
+
+/// [`record_group`], warming a fan-out over `warm` live whenever the
+/// kernel executes. Returns the warmed fan-out, or `None` when the
+/// recording came from a store hit (or no fan-out was asked for).
+fn obtain_recording(
+    kernel: &dyn Kernel,
+    imp: Impl,
+    w: Width,
+    scale: Scale,
+    seed: u64,
+    store: Option<&TraceStore>,
+    warm: Option<&[CoreConfig]>,
+) -> (GroupRecording, Option<MultiCore>) {
     if let Some(store) = store {
         let key = StoreKey::group(&kernel.meta().id(), imp, w, scale, seed);
         let hit = {
@@ -216,43 +313,52 @@ pub fn record_group(
             store.lookup(&key)
         };
         if let Some(stored) = hit {
-            return GroupRecording {
+            let rec = GroupRecording {
                 data: stored.histograms.histograms(),
                 work_ops: stored.work_ops,
                 fallback_refs: stored.fallback_refs,
                 source: RecordingSource::Store(Box::new(stored)),
             };
+            return (rec, None);
         }
         match store.begin_insert(&key) {
             Ok((pending, spill)) => {
                 // The codec times its own spill writes; subtract the
                 // delta from the recording and commit spans so their
                 // self time stays exclusive of spill I/O.
-                let (data, spill, fallback_refs, work_ops) = {
+                let run = {
                     let _span = ProfileScope::enter(Phase::Record);
                     let spill0 = profile::codec_spill_ns();
-                    let out = execute_recorded(kernel, imp, w, scale, seed, spill);
+                    let out = execute_recorded(kernel, imp, w, scale, seed, spill, warm);
                     profile::exclude_enclosed(profile::codec_spill_ns() - spill0);
                     out
                 };
-                profile::add_counts(Phase::Record, data.total(), 0);
+                profile::add_counts(Phase::Record, run.data.total(), 0);
                 let committed = {
                     let _span = ProfileScope::enter(Phase::StoreCommit);
                     let spill0 = profile::codec_spill_ns();
-                    let out =
-                        store.commit(pending, spill, work_ops, fallback_refs, data.histograms());
+                    let out = store.commit(
+                        pending,
+                        run.record,
+                        run.work_ops,
+                        run.fallback_refs,
+                        run.data.histograms(),
+                    );
                     profile::exclude_enclosed(profile::codec_spill_ns() - spill0);
                     out
                 };
                 match committed {
                     Ok(stored) => {
-                        return GroupRecording {
-                            data: data.histograms(),
-                            work_ops,
-                            fallback_refs,
+                        let rec = GroupRecording {
+                            data: run.data.histograms(),
+                            work_ops: run.work_ops,
+                            fallback_refs: run.fallback_refs,
                             source: RecordingSource::Store(Box::new(stored)),
-                        }
+                        };
+                        return (rec, run.warmed);
                     }
+                    // The re-record below warms a fresh fan-out; this
+                    // one is dropped with `run`.
                     Err(e) => eprintln!(
                         "trace store: commit of {} failed ({e}); re-recording in memory",
                         key.stream_id()
@@ -265,21 +371,22 @@ pub fn record_group(
             ),
         }
     }
-    let (data, rec, fallback_refs, work_ops) = {
+    let run = {
         let _span = ProfileScope::enter(Phase::Record);
-        execute_recorded(kernel, imp, w, scale, seed, RecordSink::new())
+        execute_recorded(kernel, imp, w, scale, seed, RecordSink::new(), warm)
     };
-    profile::add_counts(Phase::Record, data.total(), 0);
-    GroupRecording {
-        data: data.histograms(),
-        work_ops,
-        fallback_refs,
-        source: RecordingSource::Memory(rec.finish()),
-    }
+    profile::add_counts(Phase::Record, run.data.total(), 0);
+    let rec = GroupRecording {
+        data: run.data.histograms(),
+        work_ops: run.work_ops,
+        fallback_refs: run.fallback_refs,
+        source: RecordingSource::Memory(run.record.finish()),
+    };
+    (rec, run.warmed)
 }
 
 /// Vector-op energy scale factor for an implementation at a width.
-pub(crate) fn width_factor(imp: Impl, w: Width) -> f64 {
+fn width_factor(imp: Impl, w: Width) -> f64 {
     if imp == Impl::Neon {
         w.factor() as f64
     } else {
@@ -287,61 +394,80 @@ pub(crate) fn width_factor(imp: Impl, w: Width) -> f64 {
     }
 }
 
-/// Measure a group recording on several core configurations: the
-/// recording drives a [`MultiCore`] fan-out twice — a first replay
-/// warms the caches (§4.3) and a second replay is timed. Both replays
-/// run on the batch path while (for store-backed recordings) the next
-/// chunk decodes on a second thread. Each arena of decoded
-/// instructions is walked once through each distinct cache hierarchy
-/// (configurations with equal `MemConfig`s share one); in the timed
-/// pass every configuration's scheduler stage then steps the arena
-/// over that walk's cache latencies. Returns one [`Measurement`] per
-/// entry of `cfgs`, in order.
-pub fn measure_recorded(
-    rec: &mut GroupRecording,
+/// Measure one execution group — one kernel configuration's
+/// instruction stream — on several core configurations at once,
+/// without materializing the trace.
+///
+/// The recording comes from [`record_group`]'s sources: a verified
+/// `store` hit, or else exactly one functional execution (spilled into
+/// a new store entry on a miss, in memory without a store). When the
+/// kernel executes, a tap on its live stream warms every model's
+/// caches as it records (the paper warms caches before each measured
+/// iteration, §4.3); a store hit warms by replaying the recording
+/// instead. The recording is then replayed once, timed, on the batch
+/// path (store-backed recordings decode the next chunk on a second
+/// thread meanwhile). Each arena of instructions is walked once
+/// through each distinct cache hierarchy (configurations with equal
+/// `MemConfig`s share one); in the timed pass every configuration's
+/// scheduler stage then steps the arena over that walk's cache
+/// latencies. `on_timed` sees every timed batch after the models
+/// stepped it (the golden digest hashes them).
+///
+/// Live and replay warming are bit-identical, so this equals the batch
+/// capture-and-replay of one trace with every source. Returns one
+/// [`Measurement`] per entry of `cfgs`, in order, and the recording.
+#[allow(clippy::too_many_arguments)]
+pub fn measure_group(
+    kernel: &dyn Kernel,
+    imp: Impl,
+    w: Width,
+    scale: Scale,
+    seed: u64,
     cfgs: &[CoreConfig],
-    width_factor: f64,
-) -> Vec<Measurement> {
-    let mut multi = MultiCore::new(cfgs);
-    multi.begin_warm();
-    // One profiling span per batch (not per pass): the decode work
-    // between batches — inline arena refills or the decoder thread's
-    // chunk reads — times itself inside the codec, so span time here
-    // is purely model stepping.
-    rec.replay_batches(|b| {
-        let _span = ProfileScope::enter(Phase::Warm);
-        multi.warm_batch(b)
+    store: Option<&TraceStore>,
+    mut on_timed: impl FnMut(&[TraceInstr]),
+) -> (Vec<Measurement>, GroupRecording) {
+    let (mut rec, warmed) = obtain_recording(kernel, imp, w, scale, seed, store, Some(cfgs));
+    let mut multi = warmed.unwrap_or_else(|| {
+        // A store hit: no execution to tap, so warm by replay. One
+        // profiling span per batch (not per pass): the decode work
+        // between batches — inline arena refills or the decoder
+        // thread's chunk reads — times itself inside the codec, so
+        // span time here is purely model stepping.
+        let mut multi = MultiCore::new(cfgs);
+        multi.begin_warm();
+        rec.replay_batches(|b| {
+            let _span = ProfileScope::enter(Phase::Warm);
+            multi.warm_batch(b)
+        });
+        multi
     });
     multi.begin_timed();
     rec.replay_batches(|b| {
-        let _span = ProfileScope::enter(Phase::Timed);
-        multi.step_batch(b)
+        {
+            let _span = ProfileScope::enter(Phase::Timed);
+            multi.step_batch(b);
+        }
+        on_timed(b);
     });
     let stats = multi.batch_stats();
     profile::add_counts(Phase::Warm, stats.warm_instrs, 0);
     profile::add_counts(Phase::Timed, stats.timed_instrs, 0);
+    let wf = width_factor(imp, w);
     let sims = multi.finalize();
-    cfgs.iter()
+    let measurements = cfgs
+        .iter()
         .zip(sims)
-        .map(|(cfg, sim)| {
-            attach_energy(rec.data.histograms(), sim, cfg, width_factor, rec.work_ops)
-        })
-        .collect()
+        .map(|(cfg, sim)| attach_energy(rec.data.histograms(), sim, cfg, wf, rec.work_ops))
+        .collect();
+    (measurements, rec)
 }
 
 /// Measure one kernel configuration on several core configurations at
-/// once, without materializing the trace.
-///
-/// The kernel executes exactly *once*, recorded through the trace
-/// codec ([`record`]); the recording then drives a fan-out of one
-/// incremental core model per configuration twice — a first replay
-/// warms every model's caches (the paper warms caches before each
-/// measured iteration, §4.3) and a second replay is timed. Replay is
-/// bit-identical to the live stream, so this equals the batch
-/// capture-and-replay of one trace while keeping the resident trace
-/// state at the compact encoded size instead of a `Vec<TraceInstr>`.
-///
-/// Returns one [`Measurement`] per entry of `cfgs`, in order.
+/// once: [`measure_group`] without a trace store. The kernel executes
+/// exactly *once*, warming every model's caches live while it records,
+/// and the recording is replayed once, timed. Returns one
+/// [`Measurement`] per entry of `cfgs`, in order.
 pub fn measure_multi(
     kernel: &dyn Kernel,
     imp: Impl,
@@ -350,8 +476,7 @@ pub fn measure_multi(
     scale: Scale,
     seed: u64,
 ) -> Vec<Measurement> {
-    let mut rec = record_group(kernel, imp, w, scale, seed, None);
-    measure_recorded(&mut rec, cfgs, width_factor(imp, w))
+    measure_group(kernel, imp, w, scale, seed, cfgs, None, |_| {}).0
 }
 
 /// Measure one configuration of a kernel (streaming; single-core

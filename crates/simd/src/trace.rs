@@ -191,11 +191,15 @@ pub fn next_value_id(id: u32) -> u32 {
 }
 
 /// `next_value_id` applied `n` times, in O(1): value ids cycle through
-/// `1..=u32::MAX` (period `2^32 - 1`).
+/// `1..=u32::MAX` (period `2^32 - 1`). A run that stays below the wrap
+/// (nearly every overhead run) is a plain addition.
 #[inline]
 pub fn advance_value_id(id: u32, n: u64) -> u32 {
     const PERIOD: u64 = u32::MAX as u64;
     debug_assert!(id != 0, "value ids start at 1");
+    if n <= (u32::MAX - id) as u64 {
+        return id + n as u32;
+    }
     let z = (id as u64 - 1 + n % PERIOD) % PERIOD;
     (z + 1) as u32
 }
@@ -963,12 +967,17 @@ pub(crate) fn emit_literal(op: Op, class: Class, content: &[u8]) -> u32 {
         let t = &mut *t;
         let mem = if t.mode == Mode::Full {
             let bytes = content.len() as u32;
-            let lit_next = &mut t.lit_next;
-            let addr = *t.lit_pool.entry(content.to_vec()).or_insert_with(|| {
-                let a = *lit_next;
-                *lit_next += bytes as u64;
-                a
-            });
+            // Look up by borrowed bytes; only a first materialization
+            // allocates its key.
+            let addr = match t.lit_pool.get(content) {
+                Some(&a) => a,
+                None => {
+                    let a = t.lit_next;
+                    t.lit_next += bytes as u64;
+                    t.lit_pool.insert(content.to_vec(), a);
+                    a
+                }
+            };
             Some(MemRef { addr, bytes })
         } else {
             None

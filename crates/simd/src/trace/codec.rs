@@ -278,27 +278,6 @@ fn put_zigzag(buf: &mut Vec<u8>, v: i64) {
     put_varint(buf, ((v << 1) ^ (v >> 63)) as u64);
 }
 
-#[inline]
-fn get_varint(buf: &[u8], pos: &mut usize) -> u64 {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let b = buf[*pos];
-        *pos += 1;
-        v |= ((b & 0x7f) as u64) << shift;
-        if b & 0x80 == 0 {
-            return v;
-        }
-        shift += 7;
-    }
-}
-
-#[inline]
-fn get_zigzag(buf: &[u8], pos: &mut usize) -> i64 {
-    let v = get_varint(buf, pos);
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
 /// Encode one instruction record into `buf`, advancing `pred` exactly
 /// as the decoder will. The shared encode core of [`RecordSink`] and
 /// [`SpillSink`].
@@ -369,46 +348,100 @@ enum Rec {
     },
 }
 
-/// Parse the record at `pos`, advancing `pred`. The shared decode core
-/// of the sink path ([`decode_record`]) and the batch path
-/// ([`BatchFill`]); `buf` must hold whole records (all producers split
-/// only at record boundaries).
-fn parse_record(buf: &[u8], pos: &mut usize, pred: &mut Pred) -> Rec {
-    let header = buf[*pos];
-    *pos += 1;
-    let op = Op::ALL[buf[*pos] as usize];
-    *pos += 1;
-    let class = Class::ALL[buf[*pos] as usize];
-    *pos += 1;
+/// Most bytes one varint may take: ten 7-bit groups cover a `u64`, and
+/// a longer one is malformed.
+const MAX_VARINT_BYTES: usize = 10;
+
+/// Most bytes one record may take by the parser's own bounds: the
+/// header, op and class bytes, then at most seven varints (an
+/// instruction's explicit id, four sources, address delta and size).
+/// Whenever this many bytes remain, the parser reads from a fixed
+/// window of this size.
+const MAX_RECORD_BYTES: usize = 3 + 7 * MAX_VARINT_BYTES;
+
+/// A record that does not parse: an unknown op or class tag, more than
+/// four sources, a varint longer than [`MAX_VARINT_BYTES`], or a record
+/// that runs past the end of its buffer. Chunked decoders report it as
+/// [`CodecError::Chunk`] (`what: "record"`).
+#[derive(Debug)]
+struct BadRecord;
+
+/// Read one varint at `bytes[*p..]`, with an inline fast path for the
+/// one-byte values that dominate the stream.
+#[inline(always)]
+fn varint(bytes: &[u8], p: &mut usize) -> Result<u64, BadRecord> {
+    match bytes.get(*p) {
+        Some(&b) if b < 0x80 => {
+            *p += 1;
+            Ok(b as u64)
+        }
+        _ => varint_long(bytes, p),
+    }
+}
+
+/// [`varint`]'s general path: at most [`MAX_VARINT_BYTES`] bytes.
+#[inline(never)]
+fn varint_long(bytes: &[u8], p: &mut usize) -> Result<u64, BadRecord> {
+    let mut v = 0u64;
+    for i in 0..MAX_VARINT_BYTES {
+        let b = *bytes.get(*p).ok_or(BadRecord)?;
+        *p += 1;
+        v |= ((b & 0x7f) as u64) << (7 * i);
+        if b < 0x80 {
+            return Ok(v);
+        }
+    }
+    Err(BadRecord)
+}
+
+#[inline(always)]
+fn zigzag(bytes: &[u8], p: &mut usize) -> Result<i64, BadRecord> {
+    let v = varint(bytes, p)?;
+    Ok(((v >> 1) as i64) ^ -((v & 1) as i64))
+}
+
+/// Parse the record at the start of `bytes`, advancing `pred` only when
+/// the whole record parsed. Returns the record and its length in bytes.
+#[inline(always)]
+fn parse_in(bytes: &[u8], pred: &mut Pred) -> Result<(Rec, usize), BadRecord> {
+    let &[header, op, class] = bytes.first_chunk::<3>().ok_or(BadRecord)?;
+    let op = *Op::ALL.get(op as usize).ok_or(BadRecord)?;
+    let class = *Class::ALL.get(class as usize).ok_or(BadRecord)?;
+    let mut p = 3;
+    let explicit = header & F_EXPLICIT_ID != 0;
     if header & 1 == KIND_OVERHEAD {
-        let first_id = if header & F_EXPLICIT_ID != 0 {
-            get_varint(buf, pos) as u32
+        let first_id = if explicit {
+            varint(bytes, &mut p)? as u32
         } else {
             pred.next_id
         };
-        let n = get_varint(buf, pos);
+        let n = varint(bytes, &mut p)?;
         pred.after_overhead(first_id, n);
-        return Rec::Run {
+        let run = Rec::Run {
             op,
             class,
             first_id,
             n,
         };
+        return Ok((run, p));
     }
-    let dst = if header & F_EXPLICIT_ID != 0 {
-        get_varint(buf, pos) as u32
+    let dst = if explicit {
+        varint(bytes, &mut p)? as u32
     } else {
         pred.next_id
     };
     let nsrc = (header >> NSRC_SHIFT) & 0x7;
+    if nsrc > 4 {
+        return Err(BadRecord);
+    }
     let mut srcs = [0u32; 4];
     for s in srcs.iter_mut().take(nsrc as usize) {
-        *s = (dst as i64).wrapping_sub(get_zigzag(buf, pos)) as u32;
+        *s = (dst as i64).wrapping_sub(zigzag(bytes, &mut p)?) as u32;
     }
     let mem = if header & F_MEM != 0 {
-        let delta = get_zigzag(buf, pos);
+        let delta = zigzag(bytes, &mut p)?;
         let addr = pred.next_addr[op as usize].wrapping_add(delta as u64);
-        let bytes = get_varint(buf, pos) as u32;
+        let bytes = varint(bytes, &mut p)? as u32;
         Some(MemRef { addr, bytes })
     } else {
         None
@@ -422,7 +455,25 @@ fn parse_record(buf: &[u8], pos: &mut usize, pred: &mut Pred) -> Rec {
         mem,
     };
     pred.after_instr(&ins);
-    Rec::Instr(ins)
+    Ok((Rec::Instr(ins), p))
+}
+
+/// Parse the record at `buf[*pos..]`, advancing `pos` and `pred` past
+/// it. The one decode core of the sink path ([`decode_record`]) and
+/// the batch path ([`BatchFill`]). While a maximal record's worth of
+/// bytes remains it parses from a fixed [`MAX_RECORD_BYTES`] window, so
+/// the reads index a constant-length array; the buffer's tail parses
+/// from the remaining slice. Both reads are bounds-checked, so
+/// malformed bytes yield [`BadRecord`], never a panic.
+#[inline(always)]
+fn parse_record(buf: &[u8], pos: &mut usize, pred: &mut Pred) -> Result<Rec, BadRecord> {
+    let rest = buf.get(*pos..).ok_or(BadRecord)?;
+    let (rec, len) = match rest.first_chunk::<MAX_RECORD_BYTES>() {
+        Some(window) => parse_in(window, pred)?,
+        None => parse_in(rest, pred)?,
+    };
+    *pos += len;
+    Ok(rec)
 }
 
 /// Decode the record at `pos`, drive it into `sink`, and return the
@@ -430,8 +481,13 @@ fn parse_record(buf: &[u8], pos: &mut usize, pred: &mut Pred) -> Rec {
 /// the run length for an overhead record). The sink-path dispatch over
 /// [`parse_record`], shared by [`EncodedTrace::replay_into`] and
 /// [`replay_chunked`].
-fn decode_record(buf: &[u8], pos: &mut usize, pred: &mut Pred, sink: &mut dyn TraceSink) -> u64 {
-    match parse_record(buf, pos, pred) {
+fn decode_record(
+    buf: &[u8],
+    pos: &mut usize,
+    pred: &mut Pred,
+    sink: &mut dyn TraceSink,
+) -> Result<u64, BadRecord> {
+    Ok(match parse_record(buf, pos, pred)? {
         Rec::Instr(ins) => {
             sink.on_instr(&ins);
             1
@@ -445,7 +501,7 @@ fn decode_record(buf: &[u8], pos: &mut usize, pred: &mut Pred, sink: &mut dyn Tr
             sink.on_overhead(op, class, first_id, n);
             n
         }
-    }
+    })
 }
 
 // =====================================================================
@@ -551,12 +607,17 @@ impl BatchFill {
     /// counts accrue when a record is parsed, matching the sink path's
     /// per-chunk accounting even when the expansion spills into later
     /// batches.
-    fn fill(&mut self, buf: &[u8], pos: &mut usize, batch: &mut DecodedBatch) -> (u64, u64) {
+    fn fill(
+        &mut self,
+        buf: &[u8],
+        pos: &mut usize,
+        batch: &mut DecodedBatch,
+    ) -> Result<(u64, u64), BadRecord> {
         let mut records = 0u64;
         let mut instrs = 0u64;
         self.drain_run(batch);
         while !batch.is_full() && *pos < buf.len() {
-            match parse_record(buf, pos, &mut self.pred) {
+            match parse_record(buf, pos, &mut self.pred)? {
                 Rec::Instr(ins) => {
                     batch.instrs.push(ins);
                     instrs += 1;
@@ -571,15 +632,19 @@ impl BatchFill {
                     self.run_class = class;
                     self.run_id = first_id;
                     self.run_left = n;
-                    instrs += n;
+                    instrs = instrs.checked_add(n).ok_or(BadRecord)?;
                     self.drain_run(batch);
                 }
             }
             records += 1;
         }
-        (records, instrs)
+        Ok((records, instrs))
     }
 }
+
+/// Why an in-memory recording always parses: its bytes come only from
+/// [`RecordSink`].
+const ENCODER_OUTPUT: &str = "an in-memory recording holds only encoder output";
 
 /// A finished recording: the compact binary form of one dynamic
 /// instruction stream, replayable any number of times.
@@ -622,7 +687,7 @@ impl EncodedTrace {
         let mut pos = 0usize;
         let mut pred = Pred::new();
         while pos < self.bytes.len() {
-            decode_record(&self.bytes, &mut pos, &mut pred, sink);
+            decode_record(&self.bytes, &mut pos, &mut pred, sink).expect(ENCODER_OUTPUT);
         }
     }
 
@@ -647,7 +712,8 @@ impl EncodedTrace {
             batch.clear();
             let t0 = prof_now();
             let pos0 = pos;
-            fill.fill(&self.bytes, &mut pos, &mut batch);
+            fill.fill(&self.bytes, &mut pos, &mut batch)
+                .expect(ENCODER_OUTPUT);
             prof_decode(t0, batch.instrs().len() as u64, (pos - pos0) as u64);
             if batch.is_empty() {
                 return;
@@ -795,8 +861,8 @@ pub enum CodecError {
     /// A record-stream tag byte was neither chunk nor trailer.
     BadTag(u8),
     /// A chunk's payload digest did not match its header (bit flip or
-    /// in-place tampering), or its decoded record/instruction counts
-    /// disagreed with its header.
+    /// in-place tampering), a record in its payload did not parse, or
+    /// its decoded record/instruction counts disagreed with its header.
     Chunk {
         /// Zero-based index of the failing chunk.
         chunk: u64,
@@ -823,7 +889,7 @@ impl std::fmt::Display for CodecError {
                 )
             }
             CodecError::BadTag(t) => write!(f, "unknown record-stream tag {t:#04x}"),
-            CodecError::Chunk { chunk, what } => write!(f, "chunk {chunk}: {what} mismatch"),
+            CodecError::Chunk { chunk, what } => write!(f, "chunk {chunk}: bad {what}"),
             CodecError::Trailer(what) => write!(f, "trailer: {what}"),
             CodecError::TrailingData => write!(f, "trailing bytes after the trailer"),
         }
@@ -1008,6 +1074,15 @@ impl<W: Write + 'static> TraceSink for SpillSink<W> {
     }
 }
 
+/// The error for a chunk whose verified payload holds a record that
+/// does not parse.
+fn bad_record(chunk: u64) -> CodecError {
+    CodecError::Chunk {
+        chunk,
+        what: "record",
+    }
+}
+
 /// Read exactly `n` bytes into `buf` (resized), mapping EOF to
 /// [`CodecError::Io`] with `UnexpectedEof` — a truncated stream.
 fn read_payload(r: &mut impl Read, buf: &mut Vec<u8>, n: usize) -> Result<(), CodecError> {
@@ -1102,7 +1177,11 @@ pub fn replay_chunked<R: Read>(
                 let mut got_records = 0u64;
                 let mut got_instrs = 0u64;
                 while pos < payload.len() {
-                    got_instrs += decode_record(&payload, &mut pos, &mut pred, sink);
+                    let n = decode_record(&payload, &mut pos, &mut pred, sink)
+                        .map_err(|_| bad_record(seen.chunks))?;
+                    got_instrs = got_instrs
+                        .checked_add(n)
+                        .ok_or_else(|| bad_record(seen.chunks))?;
                     got_records += 1;
                 }
                 if got_records != records || got_instrs != instrs {
@@ -1273,10 +1352,14 @@ fn decode_chunked_into_batches<R: Read>(
                 let mut got_instrs = 0u64;
                 loop {
                     let t_fill = prof_now();
-                    let (r, i) = fill.fill(&payload, &mut pos, &mut batch);
+                    let (r, i) = fill
+                        .fill(&payload, &mut pos, &mut batch)
+                        .map_err(|_| bad_record(seen.chunks))?;
                     prof_decode(t_fill, i, 0);
                     got_records += r;
-                    got_instrs += i;
+                    got_instrs = got_instrs
+                        .checked_add(i)
+                        .ok_or_else(|| bad_record(seen.chunks))?;
                     if !batch.is_full() {
                         // Payload exhausted and any pending run fully
                         // expanded; the partial batch keeps filling
@@ -1331,36 +1414,40 @@ fn decode_chunked_into_batches<R: Read>(
 
 /// Record everything `f` emits while also forwarding it to `inner` —
 /// the tee that lets a live execution warm a model (or feed a digest)
-/// in the same pass that produces the recording.
+/// in the same pass that produces the recording. The recording half is
+/// any encoder: a [`RecordSink`] in memory or a [`SpillSink`] into a
+/// chunked stream.
 #[derive(Debug)]
-pub struct TeeRecord<S> {
+pub struct TeeRecord<R, S> {
     /// The recording half.
-    pub record: RecordSink,
+    pub record: R,
     /// The pass-through half.
     pub inner: S,
 }
 
-impl<S: TraceSink> TeeRecord<S> {
-    /// Tee into `inner` while recording.
-    pub fn new(inner: S) -> TeeRecord<S> {
-        TeeRecord {
-            record: RecordSink::new(),
-            inner,
-        }
+impl<R: TraceSink, S: TraceSink> TeeRecord<R, S> {
+    /// Tee into `inner` while recording into `record`.
+    pub fn new(record: R, inner: S) -> TeeRecord<R, S> {
+        TeeRecord { record, inner }
     }
+}
 
-    /// Split back into the finished recording and the inner sink.
+impl<S: TraceSink> TeeRecord<RecordSink, S> {
+    /// Split back into the finished in-memory recording and the inner
+    /// sink.
     pub fn finish(self) -> (EncodedTrace, S) {
         (self.record.finish(), self.inner)
     }
 }
 
-impl<S: TraceSink> TraceSink for TeeRecord<S> {
+impl<R: TraceSink, S: TraceSink> TraceSink for TeeRecord<R, S> {
+    #[inline]
     fn on_instr(&mut self, ins: &TraceInstr) {
         self.record.on_instr(ins);
         self.inner.on_instr(ins);
     }
 
+    #[inline]
     fn on_overhead(&mut self, op: Op, class: Class, first_id: u32, n: u64) {
         self.record.on_overhead(op, class, first_id, n);
         self.inner.on_overhead(op, class, first_id, n);
@@ -1599,7 +1686,7 @@ mod tests {
 
     #[test]
     fn tee_records_while_forwarding() {
-        let mut tee = TeeRecord::new(VecSink::default());
+        let mut tee = TeeRecord::new(RecordSink::new(), VecSink::default());
         let a = ins(
             Op::VLd1,
             Class::VLoad,
@@ -1778,6 +1865,98 @@ mod tests {
                 what: "payload length"
             })
         ));
+    }
+
+    /// Frame `payload` as a one-chunk container declaring one record
+    /// of one instruction, with correct chunk and trailer digests — so
+    /// only the record parser can refuse it.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let digest = fnv1a(FNV_OFFSET, payload).to_le_bytes();
+        let mut out = Vec::new();
+        out.extend_from_slice(&CHUNK_MAGIC);
+        out.extend_from_slice(&CHUNK_FORMAT_VERSION.to_le_bytes());
+        out.push(TAG_CHUNK);
+        put_varint(&mut out, payload.len() as u64);
+        out.extend_from_slice(&[1, 1]);
+        out.extend_from_slice(&digest);
+        out.extend_from_slice(payload);
+        out.extend_from_slice(&[TAG_TRAILER, 1, 1, 1]);
+        out.extend_from_slice(&digest);
+        out
+    }
+
+    #[test]
+    fn unparsable_records_in_a_verified_chunk_are_errors() {
+        // One well-formed load record to damage, and well-formed filler
+        // records so a damaged record at the front parses from the
+        // fixed window while one alone parses from the buffer tail.
+        let mut rec = RecordSink::new();
+        let load = Some(MemRef {
+            addr: 0xF000_0000_0000_0040,
+            bytes: 16,
+        });
+        rec.on_instr(&ins(Op::VLd1, Class::VLoad, 1, &[], load));
+        let good = rec.finish().bytes;
+        let mut rec = RecordSink::new();
+        for id in 1..=64 {
+            rec.on_instr(&ins(Op::SAlu, Class::SInt, id, &[], None));
+        }
+        let filler = rec.finish().bytes;
+        assert!(filler.len() > MAX_RECORD_BYTES);
+
+        let mut bad_op = good.clone();
+        bad_op[1] = 0xff;
+        let mut bad_class = good.clone();
+        bad_class[2] = 0xff;
+        let cut_short = good[..good.len() - 1].to_vec();
+        // An explicit-id overhead record whose id varint runs 11 bytes.
+        let mut overlong = vec![KIND_OVERHEAD | F_EXPLICIT_ID, 0, 0];
+        overlong.extend_from_slice(&[0x80; MAX_VARINT_BYTES]);
+        overlong.extend_from_slice(&[0x01, 0x01]);
+        // Five sources; four of them would fill `TraceInstr::srcs`.
+        let five_sources = vec![KIND_INSTR | (5 << NSRC_SHIFT), 0, 0, 0, 0, 0, 0];
+        let cases = [
+            ("unknown op tag", bad_op),
+            ("unknown class tag", bad_class),
+            ("record past the chunk end", cut_short),
+            ("varint over ten bytes", overlong),
+            ("five sources", five_sources),
+        ];
+        for (what, bad) in cases {
+            let mut windowed = bad.clone();
+            windowed.extend_from_slice(&filler);
+            for (path, payload) in [("tail", &bad), ("window", &windowed)] {
+                if what == "record past the chunk end" && path == "window" {
+                    continue;
+                }
+                let bytes = framed(payload);
+                let sink = replay_chunked(&bytes[..], &mut CallLog::default());
+                assert!(
+                    matches!(
+                        sink,
+                        Err(CodecError::Chunk {
+                            chunk: 0,
+                            what: "record"
+                        })
+                    ),
+                    "{what} ({path}): sink path gave {sink:?}"
+                );
+                let batch = replay_chunked_batches(&bytes[..], |_| {});
+                assert!(
+                    matches!(
+                        batch,
+                        Err(CodecError::Chunk {
+                            chunk: 0,
+                            what: "record"
+                        })
+                    ),
+                    "{what} ({path}): batch path gave {batch:?}"
+                );
+            }
+        }
+        // The undamaged record framed the same way decodes.
+        let bytes = framed(&good);
+        assert!(replay_chunked(&bytes[..], &mut CallLog::default()).is_ok());
     }
 
     #[test]

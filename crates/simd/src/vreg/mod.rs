@@ -130,11 +130,13 @@ impl<T: Elem> Vreg<T> {
         assert_eq!(vals.len(), n as usize, "lane count mismatch");
         l[..n as usize].copy_from_slice(vals);
         let id = if trace::is_tracing() {
-            let mut content = Vec::with_capacity(vals.len() * T::BYTES);
-            for v in vals {
-                content.extend_from_slice(&v.to_bits().to_le_bytes()[..T::BYTES]);
+            // A register holds at most `MAX_LANES` bytes (W1024 of u8),
+            // so the lane bytes stage on the stack.
+            let mut content = [0u8; MAX_LANES];
+            for (dst, v) in content.chunks_exact_mut(T::BYTES).zip(vals) {
+                dst.copy_from_slice(&v.to_bits().to_le_bytes()[..T::BYTES]);
             }
-            trace::emit_literal(Op::VLd1, Class::VLoad, &content)
+            trace::emit_literal(Op::VLd1, Class::VLoad, &content[..vals.len() * T::BYTES])
         } else {
             0
         };

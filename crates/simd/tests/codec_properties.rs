@@ -8,10 +8,12 @@
 //! single-byte mutation.
 
 use proptest::prelude::*;
-use swan_simd::trace::replay_chunked_batches_with;
 use swan_simd::trace::{advance_value_id, next_value_id, OP_COUNT};
+use swan_simd::trace::{
+    replay_chunked_batches, replay_chunked_batches_with, MemRef, DEFAULT_BATCH_INSTRS,
+};
 use swan_simd::{
-    replay_chunked, Class, EncodedTrace, Op, RecordSink, SpillSink, TraceInstr, TraceSink,
+    replay_chunked, Class, EncodedTrace, Op, RecordSink, SpillSink, TraceInstr, TraceSink, VecSink,
 };
 
 /// One sink event, so replay can be compared call for call.
@@ -128,8 +130,135 @@ fn event_from(seed: u64, addr_seed: u64, id: u32) -> (Event, u32) {
     (Event::Instr(ins), next_value_id(dst))
 }
 
+/// Build one event that sits on an edge of the record parser from raw
+/// draws: explicit ids near `u32::MAX`, overhead runs that start near
+/// it and cross the wrap, 0–4 sources naming far ids, and memory
+/// references whose address deltas alternate between small and
+/// ten-byte zigzag varints. Returns the event and the next sequential
+/// id.
+fn edge_event(seed: u64, addr_seed: u64, id: u32) -> (Event, u32) {
+    let op = Op::ALL[(seed % OP_COUNT as u64) as usize];
+    let class = Class::ALL[((seed >> 8) % Class::ALL.len() as u64) as usize];
+    let near_max = u32::MAX - ((seed >> 16) % 4) as u32;
+    if (seed >> 20).is_multiple_of(4) {
+        let first = if (seed >> 22) & 1 == 0 { id } else { near_max };
+        let n = (seed >> 24) % 9;
+        return (
+            Event::Overhead(op, class, first, n),
+            advance_value_id(first, n),
+        );
+    }
+    let dst = if (seed >> 22) & 1 == 0 { id } else { near_max };
+    let nsrc = ((seed >> 28) % 5) as u8;
+    let mut srcs = [0u32; 4];
+    for (i, s) in srcs.iter_mut().enumerate().take(nsrc as usize) {
+        *s = match (seed >> (32 + 2 * i)) % 4 {
+            0 => dst.wrapping_sub(1),
+            1 => 0,
+            2 => u32::MAX,
+            _ => 1,
+        };
+    }
+    let mem = (!(seed >> 48).is_multiple_of(3)).then(|| MemRef {
+        // A set top bit against a clear one is a delta of about
+        // ±2^63: a ten-byte zigzag varint.
+        addr: if addr_seed & 1 == 1 {
+            addr_seed | 1 << 63
+        } else {
+            addr_seed >> 2
+        },
+        bytes: 1 + ((addr_seed >> 8) % 128) as u32,
+    });
+    let ins = TraceInstr {
+        op,
+        class,
+        dst,
+        srcs,
+        nsrc,
+        mem,
+    };
+    (Event::Instr(ins), next_value_id(dst))
+}
+
+/// `advance_value_id` by its definition: ids cycle through
+/// `1..=u32::MAX`, period `2^32 - 1`.
+fn advance_by_formula(id: u32, n: u64) -> u32 {
+    let period = u32::MAX as u128;
+    ((id as u128 - 1 + n as u128) % period + 1) as u32
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Records at the parser's edges decode to the input whichever way
+    /// they are read: in memory at batch capacities 1, 7 and the
+    /// default, and from chunked streams whose tiny budgets put many
+    /// records in a chunk's tail, shorter than the parser's fixed
+    /// window.
+    #[test]
+    fn edge_records_decode_to_the_input_from_window_and_tail(
+        seeds in proptest::collection::vec(any::<u64>(), 0..160),
+        addr_seeds in proptest::collection::vec(any::<u64>(), 160),
+        budget_seed in 0usize..4,
+    ) {
+        let mut id = 1u32;
+        let mut events = Vec::with_capacity(seeds.len());
+        for (s, a) in seeds.iter().zip(&addr_seeds) {
+            let (e, next) = edge_event(*s, *a, id);
+            events.push(e);
+            id = next;
+        }
+        let mut input = VecSink::default();
+        feed(&events, &mut input);
+
+        let mut rec = RecordSink::new();
+        feed(&events, &mut rec);
+        let enc = rec.finish();
+        for cap in [1usize, 7, DEFAULT_BATCH_INSTRS] {
+            let mut got = Vec::new();
+            enc.replay_batches_with(cap, |b| got.extend_from_slice(b));
+            prop_assert_eq!(&got, &input.instrs, "in memory, cap {}", cap);
+        }
+
+        let budget = [1usize, 7, 40, 100][budget_seed];
+        let mut spill = SpillSink::new(Vec::new(), budget);
+        feed(&events, &mut spill);
+        let (summary, bytes) = spill.finish().expect("Vec writer cannot fail");
+        let mut got = Vec::new();
+        let decoded = replay_chunked_batches(&bytes[..], |b| got.extend_from_slice(b))
+            .expect("well-formed stream");
+        prop_assert_eq!(&got, &input.instrs, "chunked, budget {}", budget);
+        prop_assert_eq!(decoded, summary);
+    }
+
+    /// The no-wrap fast path of `advance_value_id` and its modular
+    /// path both agree with the definition, for runs short of the
+    /// wrap, across it, and of `2^32` or more.
+    #[test]
+    fn advance_value_id_matches_the_modular_formula(
+        id_seed: u32,
+        near in 0u32..64,
+        short in 0u64..4096,
+        long: u64,
+        past in (1u64 << 32)..(1u64 << 34),
+    ) {
+        for id in [id_seed.max(1), u32::MAX - near, 1 + near] {
+            for n in [short, long, past, u32::MAX as u64, (u32::MAX - id) as u64] {
+                prop_assert_eq!(
+                    advance_value_id(id, n),
+                    advance_by_formula(id, n),
+                    "id {} n {}",
+                    id,
+                    n
+                );
+            }
+            let mut step = id;
+            for n in 0..short.min(64) {
+                prop_assert_eq!(advance_value_id(id, n), step);
+                step = next_value_id(step);
+            }
+        }
+    }
 
     #[test]
     fn arbitrary_sequences_roundtrip_bit_identically(

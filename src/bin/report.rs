@@ -550,7 +550,7 @@ fn main() {
         let mut inst = kernel.instantiate(scale, seed);
         let (data, tee, ()) = swan_simd::stream_into_at(
             swan_simd::Width::W128,
-            swan_simd::TeeRecord::new(swan_simd::HashSink::new()),
+            swan_simd::TeeRecord::new(swan_simd::RecordSink::new(), swan_simd::HashSink::new()),
             || inst.run(swan_core::Impl::Neon, swan_simd::trace::session_width()),
         );
         let (enc, live) = tee.finish();

@@ -70,6 +70,13 @@ fn profiling_on_and_off_are_byte_identical() {
         record.instrs, timed.instrs,
         "timed pass replays exactly what was recorded"
     );
+    let warm = rep.phase(Phase::Warm).expect("warm sampled");
+    assert_eq!(warm.instrs, record.instrs, "the warm pass saw the stream");
+    assert_eq!(
+        decode.instrs, record.instrs,
+        "a storeless group decodes its recording once: the caches warm \
+         while the kernel records"
+    );
     profile::reset();
 }
 

@@ -3,13 +3,13 @@
 //! materialize-then-simulate.
 //!
 //! The runner executes each scenario group's kernel once under the
-//! trace codec and replays the recording twice (cache warm-up pass +
-//! timed pass) instead of capturing a trace and simulating it, so
-//! these tests pin down the two facts that make that equivalent:
-//! (1) re-running an instance reproduces its dynamic trace exactly
-//! (same buffers, same addresses, same control flow), and (2) a
-//! replayed recording drives the core models exactly like the
-//! materialized trace does.
+//! trace codec, warming the caches from the live stream as it records,
+//! and replays the recording once (timed pass) instead of capturing a
+//! trace and simulating it, so these tests pin down the facts that make
+//! that equivalent: (1) re-running an instance reproduces its dynamic
+//! trace exactly (same buffers, same addresses, same control flow),
+//! and (2) live warming plus a replayed recording drive the core
+//! models exactly like the materialized trace does.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -20,6 +20,12 @@ use swan_simd::trace::{stream_into, Mode, Session};
 use swan_uarch::SimResult;
 
 const SEED: u64 = 7;
+
+/// Chunk budget of every trace store a test in this binary spills
+/// into. The codec's resident-peak counter is process-wide, so
+/// `store_backed_recording_is_chunk_resident_and_bit_identical` can
+/// bound it only while every concurrent spill uses this budget.
+const STORE_BUDGET: usize = 4096;
 
 /// Execute a plan with no store, journal or shard; every group must
 /// succeed.
@@ -68,9 +74,9 @@ fn every_kernel_rerun_reproduces_its_trace() {
     }
 }
 
-/// (2) Recording a kernel once and replaying the recording into
-/// fan-out core models (`record_group` + `measure_recorded`) equals
-/// capturing the materialized trace and simulating it per core
+/// (2) Recording a kernel once while warming fan-out core models live,
+/// then replaying the recording timed into them (`measure_group`),
+/// equals capturing the materialized trace and simulating it per core
 /// (`capture` + `simulate`), bit for bit, across implementations,
 /// widths, and core configurations.
 #[test]
@@ -106,15 +112,18 @@ fn streaming_measurement_equals_batch_replay() {
             let (tr, work_ops) = swan_core::capture(kernel.as_ref(), imp, w, Scale::test(), SEED);
             let batch: Vec<_> = cfgs.iter().map(|c| swan_uarch::simulate(&tr, c)).collect();
 
-            // Record once, replay warm + timed into all three models.
-            let mut rec =
-                swan_core::record_group(kernel.as_ref(), imp, w, Scale::test(), SEED, None);
-            let factor = if imp == Impl::Neon {
-                w.factor() as f64
-            } else {
-                1.0
-            };
-            let replayed = swan_core::measure_recorded(&mut rec, &cfgs, factor);
+            // Record once while warming all three models, then replay
+            // timed into them.
+            let (replayed, _) = swan_core::measure_group(
+                kernel.as_ref(),
+                imp,
+                w,
+                Scale::test(),
+                SEED,
+                &cfgs,
+                None,
+                |_| {},
+            );
 
             let sims: Vec<_> = replayed.iter().map(|m| m.sim.clone()).collect();
             assert_eq!(
@@ -131,6 +140,76 @@ fn streaming_measurement_equals_batch_replay() {
             }
         }
     }
+}
+
+/// Live warming equals replay warming, for every execution group of
+/// the test-scale plan: `measure_group` warms the caches from a tap on
+/// the executing kernel's stream, which must give exactly the results
+/// of recording the group (`record_group`), warming by a replay of the
+/// recording and then running a timed replay. A store miss (live warm
+/// while spilling) and a store hit (replay warm from disk) of the same
+/// group must give the same `Measurement`s.
+#[test]
+fn live_warm_equals_replay_warm_for_every_group() {
+    let kernels = swan::suite();
+    let plan = swan_core::plan(&kernels, Scale::test(), SEED);
+    let dir = std::env::temp_dir().join(format!("swan-live-warm-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = swan_core::TraceStore::open(&dir, &kernels)
+        .expect("open trace store")
+        .chunk_budget(STORE_BUDGET);
+    let check = |group: &Vec<usize>| {
+        let sc = &plan[group[0]];
+        let kernel = kernels[sc.kernel].as_ref();
+        let cfgs: Vec<CoreConfig> = group.iter().map(|&i| plan[i].core.config()).collect();
+        let measure = |store| {
+            let (ms, rec) = swan_core::measure_group(
+                kernel,
+                sc.imp,
+                sc.width,
+                sc.scale,
+                sc.seed,
+                &cfgs,
+                store,
+                |_| {},
+            );
+            (ms, rec.from_store())
+        };
+        let (live, _) = measure(None);
+
+        // Replay warm: the recording replayed once into the fan-out's
+        // warm pass, then once timed. Power and energy are functions
+        // of the simulation result, so equal results, histograms and
+        // work make equal measurements.
+        let mut rec = swan_core::record_group(kernel, sc.imp, sc.width, sc.scale, sc.seed, None);
+        let mut multi = swan_uarch::MultiCore::new(&cfgs);
+        multi.begin_warm();
+        rec.replay_batches(|b| multi.warm_batch(b));
+        multi.begin_timed();
+        rec.replay_batches(|b| multi.step_batch(b));
+        for (m, sim) in live.iter().zip(multi.finalize()) {
+            assert_eq!(m.sim, sim, "{}: live warm != replay warm", sc.stream_id());
+            assert_eq!(m.trace, rec.data, "{}", sc.stream_id());
+            assert_eq!(m.work_ops, rec.work_ops, "{}", sc.stream_id());
+        }
+
+        let (miss, miss_from_store) = measure(Some(&store));
+        let (hit, hit_from_store) = measure(Some(&store));
+        assert!(miss_from_store && hit_from_store, "{}", sc.stream_id());
+        assert_eq!(live, miss, "{}: store miss", sc.stream_id());
+        assert_eq!(live, hit, "{}: store hit", sc.stream_id());
+    };
+    // Two workers: this is the slowest test of the binary.
+    let groups = swan_core::execution_groups(&plan);
+    std::thread::scope(|s| {
+        for first in 0..2 {
+            let (groups, check) = (&groups, &check);
+            s.spawn(move || groups.iter().skip(first).step_by(2).for_each(check));
+        }
+    });
+    let stats = store.stats();
+    assert_eq!(stats.hits, stats.misses, "one miss then one hit per group");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The public `measure` (streaming) agrees with the explicit batch
@@ -551,7 +630,7 @@ fn recorded_stream_is_far_smaller_than_materialized_trace() {
 /// scale, per-worker replay buffers no longer grow with the stream.
 #[test]
 fn store_backed_recording_is_chunk_resident_and_bit_identical() {
-    const BUDGET: usize = 4096;
+    const BUDGET: usize = STORE_BUDGET;
     // One encoded record is at most a few dozen bytes; the chunk
     // buffer may overshoot the budget by at most one record.
     const RECORD_SLACK: u64 = 128;
@@ -572,18 +651,21 @@ fn store_backed_recording_is_chunk_resident_and_bit_identical() {
         CoreConfig::silver(),
     ];
 
-    // No other test in this binary spills through the codec, so the
-    // process-wide spill counters isolate this store's recorders.
+    // Other tests in this binary spill through the codec concurrently,
+    // at the same budget: the spill delta below only grows, and the
+    // process-wide peak stays within one budget plus one record.
     let measure_stored = || {
-        let mut rec = swan_core::record_group(
+        swan_core::measure_group(
             kernel.as_ref(),
             Impl::Scalar,
             Width::W128,
             Scale::quick(),
             42,
+            &cfgs,
             Some(&store),
-        );
-        swan_core::measure_recorded(&mut rec, &cfgs, 1.0)
+            |_| {},
+        )
+        .0
     };
     let before = swan_simd::trace::codec::recorded_totals();
     let cold = measure_stored();

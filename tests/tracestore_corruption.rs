@@ -58,8 +58,9 @@ fn assert_bit_identical(a: &[Measurement], b: &[Measurement], what: &str) {
 
 /// Run one corruption scenario: populate a store, damage its entries
 /// with `corrupt`, re-run the campaign, and require detection +
-/// replacement + bit-identical results.
-fn corruption_scenario(tag: &str, corrupt: impl Fn(&PathBuf)) {
+/// replacement + bit-identical results. Returns the recovered run's
+/// measurements.
+fn corruption_scenario(tag: &str, corrupt: impl Fn(&PathBuf)) -> Vec<Measurement> {
     let kernels: Vec<Box<dyn Kernel>> = swan::suite().into_iter().take(2).collect();
     let dir = store_dir(tag);
     let store = TraceStore::open(&dir, &kernels)
@@ -112,6 +113,7 @@ fn corruption_scenario(tag: &str, corrupt: impl Fn(&PathBuf)) {
     assert_bit_identical(&cold, &warm, tag);
 
     let _ = fs::remove_dir_all(&dir);
+    recovered
 }
 
 /// A chunk truncated mid-payload is detected on open.
@@ -156,6 +158,105 @@ fn garbage_entry_falls_back_to_rerecord() {
     corruption_scenario("garbage", |path| {
         fs::write(path, b"definitely not a trace").expect("rewrite entry");
     });
+}
+
+/// FNV-1a as the chunked container digests payloads, from its offset
+/// basis.
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash = (hash ^ b as u64).wrapping_mul(0x100_0000_01b3);
+    }
+    hash
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn read_varint(bytes: &[u8], pos: &mut usize) -> u64 {
+    let mut v = 0u64;
+    let mut shift = 0;
+    loop {
+        let b = bytes[*pos];
+        *pos += 1;
+        v |= ((b & 0x7f) as u64) << shift;
+        if b & 0x80 == 0 {
+            return v;
+        }
+        shift += 7;
+    }
+}
+
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Give an entry's first record an unknown op tag and re-frame the
+/// entry with recomputed chunk and trailer digests, so every digest
+/// verifies and only the record parser can refuse it. Layout: the
+/// store header (magic, version, 16 metadata bytes, a u16 key length,
+/// the key), then the chunked stream (magic, version, chunk frames
+/// tagged 0xC5, the trailer tagged 0x3A).
+fn poison_first_record(path: &PathBuf) {
+    const TAG_CHUNK: u8 = 0xC5;
+    const TAG_TRAILER: u8 = 0x3A;
+    let bytes = fs::read(path).expect("read entry");
+    let key_len = u16::from_le_bytes([bytes[24], bytes[25]]) as usize;
+    let mut pos = 26 + key_len + 8;
+    let mut out = bytes[..pos].to_vec();
+    let mut running = FNV_OFFSET;
+    let mut first = true;
+    loop {
+        let tag = bytes[pos];
+        pos += 1;
+        let counts = [(); 3].map(|_| read_varint(&bytes, &mut pos));
+        out.push(tag);
+        if tag == TAG_TRAILER {
+            for c in counts {
+                put_varint(&mut out, c);
+            }
+            out.extend_from_slice(&running.to_le_bytes());
+            break;
+        }
+        assert_eq!(tag, TAG_CHUNK, "chunk frame");
+        pos += 8; // the old payload digest
+        let len = counts[0] as usize;
+        let mut payload = bytes[pos..pos + len].to_vec();
+        pos += len;
+        if first {
+            payload[1] = 0xff; // the op tag of the chunk's first record
+            first = false;
+        }
+        for c in counts {
+            put_varint(&mut out, c);
+        }
+        out.extend_from_slice(&fnv1a(FNV_OFFSET, &payload).to_le_bytes());
+        out.extend_from_slice(&payload);
+        running = fnv1a(running, &payload);
+    }
+    fs::write(path, out).expect("rewrite entry");
+}
+
+/// A chunk whose digests verify but whose records do not parse is
+/// refused on open (not a panic), deleted and re-recorded, and the
+/// recovered campaign's rows are byte-identical to a storeless run's.
+#[test]
+fn unparsable_record_under_valid_digests_falls_back_to_rerecord() {
+    let recovered = corruption_scenario("bad-record", poison_first_record);
+    let kernels: Vec<Box<dyn Kernel>> = swan::suite().into_iter().take(2).collect();
+    let matrix = plan(&kernels, Scale::test(), SEED);
+    let storeless = try_execute_plan_checkpointed(&kernels, &matrix, 1, None, None, None, |_| {})
+        .into_measurements();
+    let rows = |ms: &[Measurement]| -> String {
+        matrix
+            .iter()
+            .zip(ms)
+            .map(|(sc, m)| swan_core::report::scenario_row(sc, m) + "\n")
+            .collect()
+    };
+    assert_eq!(rows(&recovered), rows(&storeless));
 }
 
 /// Warm + timed batch replay of a recording through one model per
