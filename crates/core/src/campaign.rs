@@ -6,7 +6,9 @@
 //! ordered list of [`Scenario`] descriptors. The executor
 //! ([`try_execute_plan_checkpointed`]) shards *scenarios* across
 //! `std::thread` workers: scenarios sharing one instruction stream
-//! (same kernel, implementation, width — [`Scenario::stream_id`]) are
+//! (same kernel and [`Scenario::stream`] — the implementation and width
+//! that execute, so an Auto scenario whose kernel declares Auto to be
+//! its Scalar or Neon@128 code joins that group) are
 //! measured from a *single* functional execution, recorded through
 //! the trace codec while it warms every member's core model, then
 //! replayed once (timed pass) into those models
@@ -24,7 +26,7 @@
 use crate::checkpoint::CampaignJournal;
 use crate::kernel::{Impl, Kernel, KernelMeta, Scale};
 use crate::report::{KernelResults, SuiteResults, FIG5_KERNELS};
-use crate::runner::{measure_group, Measurement};
+use crate::runner::{measure_group, width_factor, Measurement};
 use crate::scenario::Scenario;
 use crate::tracestore::TraceStore;
 use std::collections::HashMap;
@@ -86,7 +88,11 @@ fn is_fig5_representative(meta: &KernelMeta) -> bool {
 /// Scalar@128 on the three Figure 4 cores, Auto@128 on Prime,
 /// Neon@128 on the three cores, then (representatives only) Neon@128
 /// across the Figure 5(b) sweep and Neon at the wider widths on Prime.
-fn plan_kernel(kernel: usize, meta: &KernelMeta, scale: Scale, seed: u64) -> Vec<Scenario> {
+/// Each scenario records the stream it executes under the kernel's
+/// Auto declaration.
+fn plan_kernel(kernel: usize, k: &dyn Kernel, scale: Scale, seed: u64) -> Vec<Scenario> {
+    let meta = k.meta();
+    let auto = k.auto_stream();
     let kernel_id = meta.id();
     let mut out = Vec::new();
     let mut push = |imp: Impl, width: Width, core: CoreId| {
@@ -98,6 +104,7 @@ fn plan_kernel(kernel: usize, meta: &KernelMeta, scale: Scale, seed: u64) -> Vec
             core,
             scale,
             seed,
+            stream: auto.resolve(imp, width),
         });
     };
     for core in CoreId::BASE {
@@ -107,7 +114,7 @@ fn plan_kernel(kernel: usize, meta: &KernelMeta, scale: Scale, seed: u64) -> Vec
     for core in CoreId::BASE {
         push(Impl::Neon, Width::W128, core);
     }
-    if is_fig5_representative(meta) {
+    if is_fig5_representative(&meta) {
         for core in CoreId::FIG5B {
             push(Impl::Neon, Width::W128, core);
         }
@@ -127,7 +134,7 @@ pub fn plan(kernels: &[Box<dyn Kernel>], scale: Scale, seed: u64) -> Vec<Scenari
     kernels
         .iter()
         .enumerate()
-        .flat_map(|(i, k)| plan_kernel(i, &k.meta(), scale, seed))
+        .flat_map(|(i, k)| plan_kernel(i, k.as_ref(), scale, seed))
         .collect()
 }
 
@@ -136,8 +143,10 @@ pub fn plan(kernels: &[Box<dyn Kernel>], scale: Scale, seed: u64) -> Vec<Scenari
 // =====================================================================
 
 /// Partition a plan into execution groups: scenarios sharing one
-/// instruction stream (`Scenario::stream_key`), grouped in order of
-/// first appearance, each group's members in plan order. One group is
+/// instruction stream (`Scenario::stream_key`, so an Auto scenario
+/// joins the Scalar or Neon@128 group of the stream it executes),
+/// grouped in order of first appearance, each group's members in plan
+/// order. One group is
 /// the unit of work a campaign worker executes (one recorded
 /// execution replayed to the group's cores) — and the unit the
 /// checkpoint journal persists and the campaign server deduplicates,
@@ -197,19 +206,19 @@ fn measure_group_caught(
 ) -> Result<Vec<Measurement>, KernelFailure> {
     let sc = &plan[group[0]];
     let kernel = kernels[sc.kernel].as_ref();
+    let (imp, width) = sc.stream;
+    // Members share one energy model: an Auto member scales vector-op
+    // energy as the stream it joined does.
+    debug_assert!(
+        group
+            .iter()
+            .all(|&i| width_factor(plan[i].imp, plan[i].width) == width_factor(imp, width)),
+        "{}: members with different width factors",
+        sc.stream_id()
+    );
     catch_unwind(AssertUnwindSafe(|| {
         let cfgs: Vec<CoreConfig> = group.iter().map(|&i| plan[i].core.config()).collect();
-        measure_group(
-            kernel,
-            sc.imp,
-            sc.width,
-            sc.scale,
-            sc.seed,
-            &cfgs,
-            store,
-            |_| {},
-        )
-        .0
+        measure_group(kernel, imp, width, sc.scale, sc.seed, &cfgs, store, |_| {}).0
     }))
     .map_err(|p| {
         let message = if let Some(s) = p.downcast_ref::<&str>() {

@@ -58,7 +58,13 @@ use swan_uarch::{CacheStats, SimResult};
 
 /// Version of the journal entry layout. Bumping it (or the codec
 /// format version) re-keys — and thereby invalidates — every entry.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 1;
+///
+/// Version 2: groups key on the stream a scenario executes, so an
+/// Auto scenario joins its kernel's Scalar or Neon@128 group. Under
+/// version 1 a key such as `K/Scalar/w128|cores=prime` named the
+/// Scalar/prime member only; now it can name an Auto/prime member, so
+/// version-1 entries are no longer addressed.
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 2;
 
 /// The full identity string of one completed scenario group: the
 /// stream id, the group's member cores in group order, the scale bits,
@@ -559,6 +565,7 @@ mod tests {
             core,
             scale: Scale(0.25),
             seed: 42,
+            stream: (Impl::Neon, Width::W128),
         }
     }
 

@@ -238,6 +238,38 @@ impl fmt::Display for Impl {
     }
 }
 
+/// Which instruction stream a kernel's [`Impl::Auto`] build executes.
+///
+/// The paper's Auto is the compiler's build of the scalar code: either
+/// vectorization failed and it *is* the scalar code (Table 4,
+/// Auto == Scalar), or the compiler vectorized it at 128 bits, which
+/// this reproduction models with the kernel's Neon code at
+/// [`Width::W128`]. Only a kernel whose Auto build is code of its own
+/// (an unprofitable vectorization) records a third stream.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum AutoStream {
+    /// Auto runs the Scalar stream.
+    Scalar,
+    /// Auto runs the Neon stream at 128 bits.
+    Neon128,
+    /// Auto runs a stream of its own.
+    Own,
+}
+
+impl AutoStream {
+    /// The `(implementation, width)` whose instruction stream `imp` at
+    /// `w` executes: `(imp, w)` itself, except Auto under a `Scalar`
+    /// or `Neon128` declaration. Runs of equal resolved pairs record
+    /// the identical stream.
+    pub fn resolve(self, imp: Impl, w: Width) -> (Impl, Width) {
+        match (imp, self) {
+            (Impl::Auto, AutoStream::Scalar) => (Impl::Scalar, w),
+            (Impl::Auto, AutoStream::Neon128) => (Impl::Neon, Width::W128),
+            _ => (imp, w),
+        }
+    }
+}
+
 /// Why the compiler failed (or was charged extra) on a kernel (§5.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AutoObstacle {
@@ -409,6 +441,15 @@ pub trait Kernel: Send + Sync {
     /// Generate inputs at the given scale and seed and return a
     /// runnable instance.
     fn instantiate(&self, scale: Scale, seed: u64) -> Box<dyn Runnable>;
+
+    /// Which stream `run(Impl::Auto, _)` of this kernel's instances
+    /// executes. Campaigns measure an Auto scenario from the group of
+    /// the stream it resolves to ([`AutoStream::resolve`]), so a
+    /// declaration other than the default must match what `run` does
+    /// exactly. The default, a stream of its own, is always correct.
+    fn auto_stream(&self) -> AutoStream {
+        AutoStream::Own
+    }
 }
 
 #[cfg(test)]

@@ -40,7 +40,8 @@ pub use checkpoint::{
 };
 pub use golden::GoldenEntry;
 pub use kernel::{
-    AutoObstacle, AutoOutcome, Impl, Kernel, KernelMeta, Library, Pattern, Runnable, Scale, VsNeon,
+    AutoObstacle, AutoOutcome, AutoStream, Impl, Kernel, KernelMeta, Library, Pattern, Runnable,
+    Scale, VsNeon,
 };
 pub use perf::{find, gate, parse_bench_json, probe, BenchRow, GateOutcome, PerfReport};
 pub use profile::{Phase, PhaseSample, ProfileReport, ProfileScope};

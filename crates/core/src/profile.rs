@@ -614,24 +614,26 @@ fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     rest.split('"').next()
 }
 
+/// The slots are process-global; unit tests that enable profiling,
+/// and those that spill a recording (the codec's spill time merges
+/// into [`Phase::Spill`]), serialize on this lock so concurrent test
+/// threads cannot bleed samples into each other.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    use std::sync::{Mutex, OnceLock};
+    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+    LOCK.get_or_init(|| Mutex::new(()))
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard, OnceLock};
-
-    /// The slots are process-global; tests that enable profiling
-    /// serialize on this lock so concurrent test threads cannot bleed
-    /// samples into each other.
-    fn lock() -> MutexGuard<'static, ()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(()))
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-    }
 
     #[test]
     fn disabled_scope_records_nothing() {
-        let _guard = lock();
+        let _guard = test_lock();
         reset();
         set_enabled(false);
         {
@@ -645,7 +647,7 @@ mod tests {
 
     #[test]
     fn nested_scopes_are_exclusive() {
-        let _guard = lock();
+        let _guard = test_lock();
         reset();
         set_enabled(true);
         {
@@ -668,7 +670,7 @@ mod tests {
 
     #[test]
     fn exclude_enclosed_subtracts_external_time() {
-        let _guard = lock();
+        let _guard = test_lock();
         reset();
         set_enabled(true);
         {
@@ -685,7 +687,7 @@ mod tests {
 
     #[test]
     fn json_round_trips() {
-        let _guard = lock();
+        let _guard = test_lock();
         reset();
         set_enabled(true);
         {
@@ -700,7 +702,7 @@ mod tests {
 
     #[test]
     fn folded_lines_are_well_formed_and_bounded_by_wall() {
-        let _guard = lock();
+        let _guard = test_lock();
         reset();
         set_enabled(true);
         {
@@ -729,7 +731,7 @@ mod tests {
 
     #[test]
     fn headline_names_top_phases() {
-        let _guard = lock();
+        let _guard = test_lock();
         reset();
         set_enabled(true);
         {

@@ -15,7 +15,8 @@
 //! no execution to tap, so it warms by a replay first. Each pass walks
 //! the caches once per distinct memory hierarchy among the
 //! configurations (one for every registered core); the timed pass then
-//! runs one scheduler stage per configuration over the walk's
+//! runs one scheduler stage per distinct pipeline (configurations that
+//! differ only in clock and power share one) over the walk's
 //! per-instruction cache latencies. Live warming and replay warming
 //! are bit-identical — the warm pass only walks the memory references,
 //! in program order, and the tap sees exactly the instructions the
@@ -281,6 +282,11 @@ fn execute_recorded<R: TraceSink>(
 /// memory, exactly as before the store existed. All three paths yield
 /// bit-identical replays, which is the store's cardinal invariant.
 ///
+/// `imp` at `w` is first resolved to the stream it executes
+/// ([`Kernel::auto_stream`]), so an Auto request for a kernel whose
+/// Auto build is its Scalar or Neon@128 code records, and looks up,
+/// that stream's store entry.
+///
 /// Store I/O failures never fail the measurement: they are logged and
 /// the group falls back to an in-memory recording.
 pub fn record_group(
@@ -306,6 +312,7 @@ fn obtain_recording(
     store: Option<&TraceStore>,
     warm: Option<&[CoreConfig]>,
 ) -> (GroupRecording, Option<MultiCore>) {
+    let (imp, w) = kernel.auto_stream().resolve(imp, w);
     if let Some(store) = store {
         let key = StoreKey::group(&kernel.meta().id(), imp, w, scale, seed);
         let hit = {
@@ -385,8 +392,10 @@ fn obtain_recording(
     (rec, run.warmed)
 }
 
-/// Vector-op energy scale factor for an implementation at a width.
-fn width_factor(imp: Impl, w: Width) -> f64 {
+/// Vector-op energy scale factor for an implementation at a width
+/// (equal for a request and the stream it resolves to: Auto and
+/// Neon@128 both scale by 1).
+pub(crate) fn width_factor(imp: Impl, w: Width) -> f64 {
     if imp == Impl::Neon {
         w.factor() as f64
     } else {
@@ -398,7 +407,8 @@ fn width_factor(imp: Impl, w: Width) -> f64 {
 /// instruction stream — on several core configurations at once,
 /// without materializing the trace.
 ///
-/// The recording comes from [`record_group`]'s sources: a verified
+/// The recording comes from [`record_group`]'s sources (for the
+/// stream `imp` at `w` resolves to): a verified
 /// `store` hit, or else exactly one functional execution (spilled into
 /// a new store entry on a miss, in memory without a store). When the
 /// kernel executes, a tap on its live stream warms every model's
@@ -408,8 +418,8 @@ fn width_factor(imp: Impl, w: Width) -> f64 {
 /// path (store-backed recordings decode the next chunk on a second
 /// thread meanwhile). Each arena of instructions is walked once
 /// through each distinct cache hierarchy (configurations with equal
-/// `MemConfig`s share one); in the timed pass every configuration's
-/// scheduler stage then steps the arena over that walk's cache
+/// `MemConfig`s share one); in the timed pass one scheduler stage per
+/// distinct pipeline then steps the arena over that walk's cache
 /// latencies. `on_timed` sees every timed batch after the models
 /// stepped it (the golden digest hashes them).
 ///

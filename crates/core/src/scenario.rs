@@ -34,6 +34,12 @@ pub struct Scenario {
     pub scale: Scale,
     /// Input-generation seed.
     pub seed: u64,
+    /// The `(implementation, width)` whose instruction stream this
+    /// scenario measures: `(imp, width)`, except for an Auto scenario
+    /// of a kernel whose Auto build is its Scalar or Neon@128 stream
+    /// ([`crate::Kernel::auto_stream`]). [`crate::campaign::plan`] sets
+    /// it; it keys the execution groups.
+    pub stream: (Impl, Width),
 }
 
 impl Scenario {
@@ -50,17 +56,14 @@ impl Scenario {
         )
     }
 
-    /// Id of the instruction stream this scenario measures on: every
-    /// scenario sharing this key (same kernel, implementation, width,
-    /// scale, seed — everything but the core) can be measured from one
-    /// traced execution pair fanned out to its cores.
+    /// Id of the instruction stream this scenario measures on
+    /// (`LIB.kernel/Impl/wBITS` of [`Scenario::stream`]): every
+    /// scenario sharing this key (same kernel, stream, scale, seed —
+    /// the core and, for Auto, the requested implementation aside) is
+    /// measured from one recorded execution fanned out to its cores.
     pub fn stream_id(&self) -> String {
-        format!(
-            "{}/{}/w{}",
-            self.kernel_id,
-            self.imp.name(),
-            self.width.bits()
-        )
+        let (imp, width) = self.stream;
+        format!("{}/{}/w{}", self.kernel_id, imp.name(), width.bits())
     }
 
     /// Grouping key of [`Scenario::stream_id`], hashable and exact
@@ -68,8 +71,8 @@ impl Scenario {
     pub(crate) fn stream_key(&self) -> (usize, Impl, Width, u64, u64) {
         (
             self.kernel,
-            self.imp,
-            self.width,
+            self.stream.0,
+            self.stream.1,
             self.scale.0.to_bits(),
             self.seed,
         )
@@ -179,6 +182,7 @@ mod tests {
             core,
             scale: Scale::test(),
             seed: 42,
+            stream: (imp, width),
         }
     }
 
@@ -187,6 +191,13 @@ mod tests {
         let sc = scenario("ZL.adler32", Impl::Neon, Width::W256, CoreId::Prime);
         assert_eq!(sc.id(), "ZL.adler32/Neon/w256/prime");
         assert_eq!(sc.stream_id(), "ZL.adler32/Neon/w256");
+        // An Auto scenario keeps its id but names the stream it runs.
+        let auto = Scenario {
+            stream: (Impl::Scalar, Width::W128),
+            ..scenario("ZL.adler32", Impl::Auto, Width::W128, CoreId::Prime)
+        };
+        assert_eq!(auto.id(), "ZL.adler32/Auto/w128/prime");
+        assert_eq!(auto.stream_id(), "ZL.adler32/Scalar/w128");
     }
 
     #[test]

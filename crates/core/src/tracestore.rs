@@ -111,7 +111,8 @@ pub struct StoreKey {
 impl StoreKey {
     /// Key for a scenario group's instruction stream — the same
     /// (kernel, implementation, width, scale, seed) identity the
-    /// campaign executor groups by.
+    /// campaign executor groups by, with the implementation and width
+    /// of the stream that executes ([`crate::Scenario::stream`]).
     pub fn group(kernel_id: &str, imp: Impl, width: Width, scale: Scale, seed: u64) -> StoreKey {
         StoreKey {
             stream_id: format!("{}/{}/w{}", kernel_id, imp.name(), width.bits()),
@@ -634,6 +635,9 @@ mod tests {
     }
 
     fn insert(store: &TraceStore, key: &StoreKey, n: u64) -> StoredRecording {
+        // Spilling is timed into the profile's Spill phase, which a
+        // profile test may be reading.
+        let _guard = crate::profile::test_lock();
         let (pending, mut sink) = store.begin_insert(key).expect("begin insert");
         feed(&mut sink, n);
         let mut hist = HistSink::default();

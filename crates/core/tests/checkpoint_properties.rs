@@ -49,6 +49,7 @@ fn synthetic_plan() -> (Vec<Scenario>, Vec<Vec<usize>>) {
                 core,
                 scale: Scale(0.25),
                 seed: 42,
+                stream: (Impl::Neon, Width::W128),
             });
         }
         groups.push(members);

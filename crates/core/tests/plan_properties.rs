@@ -9,15 +9,20 @@
 
 use proptest::prelude::*;
 use std::collections::HashSet;
-use swan_core::{plan, AutoOutcome, Impl, Kernel, KernelMeta, Library, Runnable, Scale};
+use swan_core::{
+    execution_groups, plan, AutoOutcome, AutoStream, Impl, Kernel, KernelMeta, Library, Runnable,
+    Scale,
+};
 use swan_simd::Width;
 
-/// A do-nothing kernel with a configurable identity. `XP.gemm_f32`
-/// matches the Figure 5 representative list, so the planner gives it
-/// the width/core sweeps; any other name gets the base matrix only.
+/// A do-nothing kernel with a configurable identity and Auto
+/// declaration. `XP.gemm_f32` matches the Figure 5 representative
+/// list, so the planner gives it the width/core sweeps; any other name
+/// gets the base matrix only.
 struct Fake {
     name: &'static str,
     library: Library,
+    auto: AutoStream,
 }
 
 struct FakeRun;
@@ -48,19 +53,29 @@ impl Kernel for Fake {
     fn instantiate(&self, _scale: Scale, _seed: u64) -> Box<dyn Runnable> {
         Box::new(FakeRun)
     }
+
+    fn auto_stream(&self) -> AutoStream {
+        self.auto
+    }
 }
 
-fn inventory() -> Vec<Box<dyn Kernel>> {
+fn inventory_with(auto: AutoStream) -> Vec<Box<dyn Kernel>> {
     vec![
         Box::new(Fake {
             name: "gemm_f32",
             library: Library::XP,
+            auto,
         }),
         Box::new(Fake {
             name: "memcpy",
             library: Library::OR,
+            auto,
         }),
     ]
+}
+
+fn inventory() -> Vec<Box<dyn Kernel>> {
+    inventory_with(AutoStream::Own)
 }
 
 /// Base matrix: Scalar on 3 cores + Auto on Prime + Neon on 3 cores.
@@ -114,5 +129,39 @@ proptest! {
         prop_assert_eq!(plain.len(), BASE);
         prop_assert!(plain.iter().all(|sc| sc.width == Width::W128));
         prop_assert_eq!(rep.iter().filter(|sc| sc.width != Width::W128).count(), 3);
+    }
+
+    /// Execution groups follow the stream each scenario executes:
+    /// every member names its group's stream, no two groups share one,
+    /// and a declared Auto scenario joins the Scalar or Neon@128 group
+    /// (one group fewer per kernel) while an undeclared one stands
+    /// alone.
+    #[test]
+    fn groups_follow_the_declared_auto_stream(
+        seed in any::<u64>(),
+        auto in prop_oneof![
+            Just(AutoStream::Scalar),
+            Just(AutoStream::Neon128),
+            Just(AutoStream::Own),
+        ],
+    ) {
+        let kernels = inventory_with(auto);
+        let p = plan(&kernels, Scale::test(), seed);
+        let groups = execution_groups(&p);
+        let mut streams = HashSet::new();
+        for g in &groups {
+            let first = p[g[0]].stream_id();
+            for &i in g {
+                prop_assert_eq!(p[i].stream_id(), first.clone());
+            }
+            prop_assert!(streams.insert(first));
+        }
+        for sc in &p {
+            prop_assert_eq!(sc.stream, auto.resolve(sc.imp, sc.width));
+        }
+        // Representative: Scalar, Auto, Neon at four widths; plain:
+        // Scalar, Auto, Neon.
+        let own = if auto == AutoStream::Own { 2 } else { 0 };
+        prop_assert_eq!(groups.len(), 5 + 2 + own);
     }
 }

@@ -78,15 +78,22 @@ macro_rules! swan_kernel {
             ) -> Box<dyn swan_core::Runnable> {
                 Box::new(<$state>::new(scale, seed))
             }
+
+            fn auto_stream(&self) -> swan_core::AutoStream {
+                <$state>::AUTO_STREAM
+            }
         }
     };
 }
 
 /// Implement [`swan_core::Runnable`] for a state struct with
 /// `scalar(&mut self)`, `neon(&mut self, Width)` and `out(&self)`
-/// methods. The `auto` argument selects what the compiler-vectorized
+/// methods. The `auto` argument declares what the compiler-vectorized
 /// build runs: `scalar` (vectorization failed), `neon` (vectorized at
 /// 128 bits), or `custom` (the state provides `fn auto(&mut self)`).
+/// The declaration becomes the state's `AUTO_STREAM`, which `run`
+/// dispatches on and [`swan_kernel!`] reports as
+/// [`swan_core::Kernel::auto_stream`], so the two cannot disagree.
 ///
 /// The mandatory `buffers` clause runs at `run()` entry and must
 /// register every buffer the kernel loads from or stores to
@@ -96,16 +103,22 @@ macro_rules! swan_kernel {
 /// mapping; `tests/golden_suite.rs` asserts the whole campaign never
 /// hits the fallback.
 macro_rules! runnable {
-    ($state:ty, auto = scalar, buffers = |$s:ident| $reg:block) => {
+    ($state:ty, auto = $auto:ident, buffers = |$s:ident| $reg:block) => {
+        impl $state {
+            /// What `run(Impl::Auto, _)` executes.
+            pub(crate) const AUTO_STREAM: swan_core::AutoStream = runnable!(@stream $auto);
+        }
+
         impl swan_core::Runnable for $state {
             fn run(&mut self, imp: swan_core::Impl, w: swan_simd::Width) {
                 {
                     let $s: &Self = self;
                     $reg
                 }
-                match imp {
-                    swan_core::Impl::Scalar | swan_core::Impl::Auto => self.scalar(),
-                    swan_core::Impl::Neon => self.neon(w),
+                match Self::AUTO_STREAM.resolve(imp, w) {
+                    (swan_core::Impl::Scalar, _) => self.scalar(),
+                    (swan_core::Impl::Neon, w) => self.neon(w),
+                    (swan_core::Impl::Auto, _) => runnable!(@own self, $auto),
                 }
             }
             fn output(&self) -> Vec<f64> {
@@ -113,41 +126,20 @@ macro_rules! runnable {
             }
         }
     };
-    ($state:ty, auto = neon, buffers = |$s:ident| $reg:block) => {
-        impl swan_core::Runnable for $state {
-            fn run(&mut self, imp: swan_core::Impl, w: swan_simd::Width) {
-                {
-                    let $s: &Self = self;
-                    $reg
-                }
-                match imp {
-                    swan_core::Impl::Scalar => self.scalar(),
-                    swan_core::Impl::Neon => self.neon(w),
-                    swan_core::Impl::Auto => self.neon(swan_simd::Width::W128),
-                }
-            }
-            fn output(&self) -> Vec<f64> {
-                self.out()
-            }
-        }
+    (@stream scalar) => {
+        swan_core::AutoStream::Scalar
     };
-    ($state:ty, auto = custom, buffers = |$s:ident| $reg:block) => {
-        impl swan_core::Runnable for $state {
-            fn run(&mut self, imp: swan_core::Impl, w: swan_simd::Width) {
-                {
-                    let $s: &Self = self;
-                    $reg
-                }
-                match imp {
-                    swan_core::Impl::Scalar => self.scalar(),
-                    swan_core::Impl::Neon => self.neon(w),
-                    swan_core::Impl::Auto => self.auto(),
-                }
-            }
-            fn output(&self) -> Vec<f64> {
-                self.out()
-            }
-        }
+    (@stream neon) => {
+        swan_core::AutoStream::Neon128
+    };
+    (@stream custom) => {
+        swan_core::AutoStream::Own
+    };
+    (@own $this:ident, custom) => {
+        $this.auto()
+    };
+    (@own $this:ident, $other:ident) => {
+        unreachable!("a declared Auto stream resolves to Scalar or Neon")
     };
 }
 

@@ -12,7 +12,7 @@
 
 use crate::util::{gen_f32, rng, runnable, swan_kernel};
 use rand::Rng;
-use swan_core::{AutoOutcome, Impl, Kernel, KernelMeta, Runnable, Scale, VsNeon};
+use swan_core::{AutoOutcome, AutoStream, Impl, Kernel, KernelMeta, Runnable, Scale, VsNeon};
 use swan_simd::scalar::{self as sc, counted};
 use swan_simd::{Half, Vreg, Width};
 
@@ -163,13 +163,19 @@ impl GemmF32State {
     }
 }
 
+impl GemmF32State {
+    /// What `run(Impl::Auto, _)` executes: the compiler vectorizes
+    /// the GEMM at 128 bits.
+    const AUTO_STREAM: AutoStream = AutoStream::Neon128;
+}
+
 impl Runnable for GemmF32State {
     fn run(&mut self, imp: Impl, w: Width) {
         swan_simd::with_buffers!(self.a, self.b, self.out);
-        match imp {
-            Impl::Scalar => self.scalar(),
-            Impl::Neon => self.neon(w),
-            Impl::Auto => self.neon(Width::W128),
+        match Self::AUTO_STREAM.resolve(imp, w) {
+            (Impl::Scalar, _) => self.scalar(),
+            (Impl::Neon, w) => self.neon(w),
+            (Impl::Auto, _) => unreachable!("Auto resolves to Neon@128"),
         }
     }
     fn output(&self) -> Vec<f64> {
@@ -214,6 +220,10 @@ impl Kernel for GemmF32 {
             Some(s) => GemmF32State::with_shape(s, seed),
             None => GemmF32State::new(scale, seed),
         })
+    }
+
+    fn auto_stream(&self) -> AutoStream {
+        GemmF32State::AUTO_STREAM
     }
 }
 
@@ -594,6 +604,12 @@ impl<const P: u8> SpmmState<P> {
     }
 }
 
+impl<const P: u8> SpmmState<P> {
+    /// What `run(Impl::Auto, _)` executes: the compiler fails to
+    /// vectorize the sparse loop, so Auto is the scalar code.
+    const AUTO_STREAM: AutoStream = AutoStream::Scalar;
+}
+
 impl<const P: u8> Runnable for SpmmState<P> {
     fn run(&mut self, imp: Impl, w: Width) {
         swan_simd::with_buffers!(
@@ -603,9 +619,10 @@ impl<const P: u8> Runnable for SpmmState<P> {
             self.b_f,
             self.out_f
         );
-        match imp {
-            Impl::Scalar | Impl::Auto => self.scalar(),
-            Impl::Neon => self.neon(w),
+        match Self::AUTO_STREAM.resolve(imp, w) {
+            (Impl::Scalar, _) => self.scalar(),
+            (Impl::Neon, w) => self.neon(w),
+            (Impl::Auto, _) => unreachable!("Auto resolves to Scalar"),
         }
     }
     fn output(&self) -> Vec<f64> {
@@ -652,6 +669,10 @@ macro_rules! spmm_kernel {
                     Some(s) => SpmmState::<$p>::with_shape(s, seed),
                     None => SpmmState::<$p>::new(scale, seed),
                 })
+            }
+
+            fn auto_stream(&self) -> AutoStream {
+                SpmmState::<$p>::AUTO_STREAM
             }
         }
     };

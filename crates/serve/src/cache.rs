@@ -9,13 +9,16 @@
 //! [`Measurement`]s in group order behind an `Arc`, so a hit hands the
 //! same allocation to every concurrent reader.
 //!
-//! The cache is bounded by *group count* and evicts oldest-inserted
+//! The cache is bounded by *scenario groups* and evicts oldest-inserted
 //! first (insertion-order FIFO): every result is bit-reproducible from
 //! the tiers below (trace store, fresh execution), so eviction costs
 //! re-simulation time, never correctness, and FIFO keeps the
 //! bookkeeping O(1) without a recency list the workload doesn't need —
 //! campaign queries arrive in bursts over the same plan, not with a
-//! long-tailed reuse distance.
+//! long-tailed reuse distance. A result weighs the requested
+//! `(implementation, width)` groups it answers: one, or two for an
+//! execution group whose Auto members run the Scalar or Neon@128
+//! stream, so sharing a stream does not enlarge what a capacity holds.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,18 +51,23 @@ pub struct ResultCache {
 
 #[derive(Debug)]
 struct Inner {
-    map: HashMap<String, Arc<Vec<Measurement>>>,
+    /// Each result with its weight in scenario groups.
+    map: HashMap<String, (Arc<Vec<Measurement>>, usize)>,
     order: VecDeque<String>,
+    /// Sum of the cached results' weights.
+    weight: usize,
     cap: usize,
 }
 
 impl ResultCache {
-    /// A cache holding at most `cap` group results (minimum 1).
+    /// A cache holding results of at most `cap` scenario groups
+    /// (minimum 1); the newest result always stays, whatever it weighs.
     pub fn new(cap: usize) -> ResultCache {
         ResultCache {
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
                 order: VecDeque::new(),
+                weight: 0,
                 cap: cap.max(1),
             }),
             hits: AtomicU64::new(0),
@@ -73,7 +81,7 @@ impl ResultCache {
     pub fn get(&self, key: &str) -> Option<Arc<Vec<Measurement>>> {
         let inner = self.inner.lock().expect("cache poisoned");
         match inner.map.get(key) {
-            Some(ms) => {
+            Some((ms, _)) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(ms.clone())
             }
@@ -84,19 +92,23 @@ impl ResultCache {
         }
     }
 
-    /// Insert a completed group's measurements, evicting the
-    /// oldest-inserted entries if the cache is over capacity.
-    /// Re-inserting an existing key refreshes the value without
-    /// growing the order book.
-    pub fn insert(&self, key: String, measurements: Arc<Vec<Measurement>>) {
+    /// Insert a completed group's measurements, answering `groups`
+    /// scenario groups (at least 1), evicting the oldest-inserted
+    /// entries while the cache is over capacity. Re-inserting an
+    /// existing key refreshes the value without growing the order book.
+    pub fn insert(&self, key: String, measurements: Arc<Vec<Measurement>>, groups: usize) {
+        let groups = groups.max(1);
         let mut inner = self.inner.lock().expect("cache poisoned");
-        if inner.map.insert(key.clone(), measurements).is_none() {
-            inner.order.push_back(key);
+        match inner.map.insert(key.clone(), (measurements, groups)) {
+            Some((_, old)) => inner.weight -= old,
+            None => inner.order.push_back(key),
         }
+        inner.weight += groups;
         self.inserts.fetch_add(1, Ordering::Relaxed);
-        while inner.map.len() > inner.cap {
+        while inner.weight > inner.cap && inner.map.len() > 1 {
             let oldest = inner.order.pop_front().expect("order tracks map");
-            inner.map.remove(&oldest);
+            let (_, w) = inner.map.remove(&oldest).expect("order tracks map");
+            inner.weight -= w;
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -135,7 +147,7 @@ mod tests {
     fn hit_miss_and_counters() {
         let cache = ResultCache::new(4);
         assert!(cache.get("a").is_none());
-        cache.insert("a".into(), value(1));
+        cache.insert("a".into(), value(1), 1);
         assert!(cache.get("a").is_some());
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.inserts, s.evictions), (1, 1, 1, 0));
@@ -144,9 +156,9 @@ mod tests {
     #[test]
     fn evicts_oldest_inserted_first() {
         let cache = ResultCache::new(2);
-        cache.insert("a".into(), value(1));
-        cache.insert("b".into(), value(2));
-        cache.insert("c".into(), value(3)); // evicts "a"
+        cache.insert("a".into(), value(1), 1);
+        cache.insert("b".into(), value(2), 1);
+        cache.insert("c".into(), value(3), 1); // evicts "a"
         assert!(cache.get("a").is_none());
         assert!(cache.get("b").is_some());
         assert!(cache.get("c").is_some());
@@ -157,12 +169,27 @@ mod tests {
     #[test]
     fn reinsert_refreshes_without_duplicating_order() {
         let cache = ResultCache::new(2);
-        cache.insert("a".into(), value(1));
-        cache.insert("a".into(), value(1));
-        cache.insert("b".into(), value(2));
-        cache.insert("c".into(), value(3)); // evicts "a" once, cleanly
+        cache.insert("a".into(), value(1), 1);
+        cache.insert("a".into(), value(1), 1);
+        cache.insert("b".into(), value(2), 1);
+        cache.insert("c".into(), value(3), 1); // evicts "a" once, cleanly
         assert_eq!(cache.len(), 2);
         assert!(cache.get("a").is_none());
         assert!(cache.get("b").is_some() && cache.get("c").is_some());
+    }
+
+    #[test]
+    fn capacity_counts_scenario_groups() {
+        let cache = ResultCache::new(3);
+        cache.insert("a".into(), value(1), 1);
+        cache.insert("b".into(), value(2), 2);
+        assert_eq!(cache.stats().evictions, 0);
+        cache.insert("c".into(), value(3), 2); // 5 > 3: evicts "a", then "b"
+        assert!(cache.get("a").is_none() && cache.get("b").is_none());
+        assert!(cache.get("c").is_some());
+        assert_eq!(cache.stats().evictions, 2);
+        cache.insert("d".into(), value(4), 5); // over capacity alone: stays
+        assert_eq!(cache.len(), 1);
+        assert!(cache.get("d").is_some());
     }
 }

@@ -85,7 +85,9 @@ pub struct ServerConfig {
     /// Capacity of the execution queue; resolvers pushing past it
     /// block (backpressure) rather than queueing unboundedly.
     pub queue_cap: usize,
-    /// Maximum scenario-group results the cache retains.
+    /// Maximum scenario groups whose results the cache retains; an
+    /// execution group shared by Auto and its stream's impl counts
+    /// two.
     pub cache_groups: usize,
     /// Maximum request handlers running concurrently in
     /// [`Server::serve_lines`].
@@ -668,7 +670,9 @@ fn worker_loop(inner: &Inner) {
             )),
         };
         if let Ok(ms) = &outcome {
-            inner.cache.insert(job.key.clone(), ms.clone());
+            inner
+                .cache
+                .insert(job.key.clone(), ms.clone(), scenario_groups(&job.scenarios));
         }
         inner
             .inflight
@@ -677,6 +681,19 @@ fn worker_loop(inner: &Inner) {
             .remove(&job.key);
         job.cell.complete(outcome);
     }
+}
+
+/// The scenario groups an execution group answers: its members'
+/// distinct requested `(implementation, width)` pairs — two when Auto
+/// members share the Scalar or Neon@128 stream, else one.
+fn scenario_groups(scenarios: &[Scenario]) -> usize {
+    let mut seen = Vec::new();
+    for sc in scenarios {
+        if !seen.contains(&(sc.imp, sc.width)) {
+            seen.push((sc.imp, sc.width));
+        }
+    }
+    seen.len()
 }
 
 /// A shared line-oriented writer: one lock per line (or per group

@@ -258,7 +258,47 @@ impl Pool {
     }
 }
 
-/// Per-run scheduler state of one core. Reset by
+/// Everything the scheduler stage reads of a core: the index of the
+/// memory stage whose latencies it consumes plus every
+/// [`CoreConfig`] field [`Sched::new`] and [`Sched::step`] use. Cores
+/// with equal pipelines schedule a stream identically, so a fan-out
+/// runs one scheduler per distinct pipeline. The scheduler takes this
+/// struct instead of the `CoreConfig`, so a field it reads cannot be
+/// left out of the sharing key.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Pipeline {
+    mem: usize,
+    decode_width: u32,
+    commit_width: u32,
+    rob: u32,
+    asimd_units: u32,
+    scalar_alus: u32,
+    load_units: u32,
+    store_units: u32,
+    in_order: bool,
+    mispredict_penalty: u32,
+    mispredict_per_mille: u32,
+}
+
+impl Pipeline {
+    fn of(cfg: &CoreConfig, mem: usize) -> Pipeline {
+        Pipeline {
+            mem,
+            decode_width: cfg.decode_width,
+            commit_width: cfg.commit_width,
+            rob: cfg.rob,
+            asimd_units: cfg.asimd_units,
+            scalar_alus: cfg.scalar_alus,
+            load_units: cfg.load_units,
+            store_units: cfg.store_units,
+            in_order: cfg.in_order,
+            mispredict_penalty: cfg.mispredict_penalty,
+            mispredict_per_mille: cfg.mispredict_per_mille,
+        }
+    }
+}
+
+/// Per-run scheduler state of one pipeline. Reset by
 /// [`MultiCore::begin_timed`]; advanced by [`Sched::step`]. This is the
 /// entire O(core window) resident state of a measurement — the trace
 /// itself is never materialized.
@@ -290,21 +330,21 @@ struct Sched {
 }
 
 impl Sched {
-    fn new(cfg: &CoreConfig) -> Sched {
+    fn new(p: &Pipeline) -> Sched {
         Sched {
-            ready: ReadyRing::new(cfg.rob as usize),
+            ready: ReadyRing::new(p.rob as usize),
             pools: [
-                Pool::new(cfg.scalar_alus),
-                Pool::new(cfg.asimd_units),
-                Pool::new(cfg.load_units),
-                Pool::new(cfg.store_units),
+                Pool::new(p.scalar_alus),
+                Pool::new(p.asimd_units),
+                Pool::new(p.load_units),
+                Pool::new(p.store_units),
             ],
             fetch_cycle: 0,
             fetched_in_cycle: 0,
             commit_cycle: 0,
             committed_in_cycle: 0,
             last_commit: 0,
-            rob_ring: vec![0; cfg.rob as usize],
+            rob_ring: vec![0; p.rob as usize],
             rob_pos: 0,
             idx: 0,
             last_issue: 0,
@@ -347,7 +387,7 @@ impl Sched {
     /// prologue; the body is one `OP_COST` load and the fixed-array
     /// unit min-scan — no allocation, no virtual calls, no re-derived
     /// invariants (see CONTRIBUTING, "The hot loop").
-    fn step(&mut self, cfg: &CoreConfig, batch: &[TraceInstr], mem_lat: &[u32]) {
+    fn step(&mut self, p: &Pipeline, batch: &[TraceInstr], mem_lat: &[u32]) {
         assert_eq!(
             batch.len(),
             mem_lat.len(),
@@ -355,11 +395,11 @@ impl Sched {
         );
         let s = self;
         // --- prologue: loop-invariant config reads ---
-        let decode_width = cfg.decode_width;
-        let commit_width = cfg.commit_width;
-        let in_order = cfg.in_order;
-        let mispredict_per_mille = cfg.mispredict_per_mille as u64;
-        let mispredict_penalty = cfg.mispredict_penalty as u64;
+        let decode_width = p.decode_width;
+        let commit_width = p.commit_width;
+        let in_order = p.in_order;
+        let mispredict_per_mille = p.mispredict_per_mille as u64;
+        let mispredict_penalty = p.mispredict_penalty as u64;
         let rob = s.rob_ring.len();
         for (ins, &mem_lat) in batch.iter().zip(mem_lat) {
             s.by_op[ins.op as usize] += 1;
@@ -535,7 +575,7 @@ impl std::fmt::Debug for CoreModel {
         f.debug_struct("CoreModel")
             .field("cfg", &core.cfg.name)
             .field("phase", &self.inner.phase)
-            .field("instrs", &core.sched.idx)
+            .field("instrs", &self.inner.scheds[core.sched].sched.idx)
             .finish()
     }
 }
@@ -558,7 +598,7 @@ impl CoreModel {
     #[cfg(test)]
     fn with_ready_ring(cfg: CoreConfig, size: usize) -> CoreModel {
         let mut m = CoreModel::new(cfg);
-        m.inner.cores[0].sched.ready = ReadyRing::with_size(size);
+        m.inner.scheds[0].sched.ready = ReadyRing::with_size(size);
         m
     }
 
@@ -606,8 +646,8 @@ impl CoreModel {
 
 /// Cumulative batch-phase counters of one [`MultiCore`] fan-out:
 /// how many decoded batches (and stream instructions) each replay
-/// phase consumed, and how many instructions the memory stages
-/// walked. Always on — a few `u64` adds per batch are noise next to
+/// phase consumed, and how many instructions the memory and scheduler
+/// stages stepped. Always on — a few `u64` adds per batch are noise next to
 /// stepping the batch through N models — and surfaced by
 /// `swan_core::profile` as the warm/timed instruction counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -623,14 +663,22 @@ pub struct BatchStats {
     /// Stream instructions walked through a cache hierarchy, warm and
     /// timed, summed over the fan-out's distinct hierarchies.
     pub cache_walk_instrs: u64,
+    /// Stream instructions stepped through a scheduler stage (timed
+    /// only), summed over the fan-out's distinct pipelines.
+    pub sched_steps: u64,
 }
 
-/// One core of a fan-out: its configuration, scheduler state, and the
-/// index of the memory stage it reads.
+/// The scheduler stage of one distinct pipeline: its key and state.
+struct SchedStage {
+    pipe: Pipeline,
+    sched: Sched,
+}
+
+/// One core of a fan-out: its configuration and the index of the
+/// scheduler stage it reads.
 struct Core {
     cfg: CoreConfig,
-    sched: Sched,
-    mem: usize,
+    sched: usize,
 }
 
 /// Fan-out driving several core models from one instruction stream,
@@ -639,14 +687,19 @@ struct Core {
 ///
 /// The fan-out keeps one cache hierarchy per *distinct* [`MemConfig`]
 /// among its configurations (compared with `==`) and one scheduler per
-/// core. Each batch is walked once through each hierarchy — the warm
-/// pass touches every memory reference, the timed pass's memory stage
-/// walks loads and stores into a latency buffer — and the timed
-/// pass's scheduler stage then runs once per core, reading its
-/// hierarchy's latencies. The hierarchy's walk is independent of
-/// timing, so the results equal N independent [`CoreModel`]s.
+/// *distinct* pipeline (the hierarchy plus every configuration field
+/// the scheduler reads; the Prime, Gold and 4W-2V cores differ only in
+/// clock and power, so they share one). Each batch is walked once
+/// through each hierarchy — the warm pass touches every memory
+/// reference, the timed pass's memory stage walks loads and stores
+/// into a latency buffer — and the timed pass's scheduler stage then
+/// runs once per pipeline, reading its hierarchy's latencies. The
+/// hierarchy's walk is independent of timing and the schedule of
+/// clock and power, so the results equal N independent
+/// [`CoreModel`]s.
 pub struct MultiCore {
     mems: Vec<MemStage>,
+    scheds: Vec<SchedStage>,
     cores: Vec<Core>,
     stats: BatchStats,
     phase: Phase,
@@ -658,6 +711,7 @@ impl std::fmt::Debug for MultiCore {
         f.debug_struct("MultiCore")
             .field("cores", &names)
             .field("hierarchies", &self.mems.len())
+            .field("pipelines", &self.scheds.len())
             .field("phase", &self.phase)
             .field("stats", &self.stats)
             .finish()
@@ -666,26 +720,39 @@ impl std::fmt::Debug for MultiCore {
 
 impl MultiCore {
     /// Build one cold model per configuration, ready for a timed run;
-    /// configurations with equal [`MemConfig`]s share one hierarchy.
+    /// configurations with equal [`MemConfig`]s share one hierarchy,
+    /// and those with equal pipelines on it share one scheduler.
     pub fn new(cfgs: &[CoreConfig]) -> MultiCore {
         let mut mems = Vec::new();
+        let mut scheds: Vec<SchedStage> = Vec::new();
         let mut cores: Vec<Core> = Vec::with_capacity(cfgs.len());
         for cfg in cfgs {
             let mem = match cores.iter().find(|c| c.cfg.mem == cfg.mem) {
-                Some(c) => c.mem,
+                Some(c) => scheds[c.sched].pipe.mem,
                 None => {
                     mems.push(MemStage::new(&cfg.mem));
                     mems.len() - 1
                 }
             };
+            let pipe = Pipeline::of(cfg, mem);
+            let sched = match scheds.iter().position(|s| s.pipe == pipe) {
+                Some(i) => i,
+                None => {
+                    scheds.push(SchedStage {
+                        pipe,
+                        sched: Sched::new(&pipe),
+                    });
+                    scheds.len() - 1
+                }
+            };
             cores.push(Core {
                 cfg: cfg.clone(),
-                sched: Sched::new(cfg),
-                mem,
+                sched,
             });
         }
         MultiCore {
             mems,
+            scheds,
             cores,
             stats: BatchStats::default(),
             phase: Phase::Timed,
@@ -715,8 +782,8 @@ impl MultiCore {
     /// Enter (or restart) the timed phase on every model: scheduler
     /// state and cache statistics reset, cache contents persist.
     pub fn begin_timed(&mut self) {
-        for c in &mut self.cores {
-            c.sched.reset();
+        for s in &mut self.scheds {
+            s.sched.reset();
         }
         for m in &mut self.mems {
             m.caches.reset_stats();
@@ -739,7 +806,7 @@ impl MultiCore {
     /// Step every model over one resident decoded batch, per the phase
     /// (the fan-out form of [`CoreModel::step_batch`]). Timed, the
     /// memory stage runs once per distinct hierarchy, then the
-    /// scheduler stage once per core.
+    /// scheduler stage once per distinct pipeline.
     pub fn step_batch(&mut self, batch: &[TraceInstr]) {
         if self.phase == Phase::Warm {
             self.warm_batch(batch);
@@ -748,16 +815,18 @@ impl MultiCore {
         self.stats.timed_batches += 1;
         self.stats.timed_instrs += batch.len() as u64;
         self.stats.cache_walk_instrs += (batch.len() * self.mems.len()) as u64;
+        self.stats.sched_steps += (batch.len() * self.scheds.len()) as u64;
         for m in &mut self.mems {
             m.walk(batch);
         }
-        for c in &mut self.cores {
-            c.sched.step(&c.cfg, batch, &self.mems[c.mem].lat);
+        for s in &mut self.scheds {
+            s.sched.step(&s.pipe, batch, &self.mems[s.pipe.mem].lat);
         }
     }
 
     /// Finish the timed run on every model, in configuration order;
-    /// each result carries its hierarchy's cache and DRAM statistics.
+    /// each result carries its pipeline's schedule, its hierarchy's
+    /// cache and DRAM statistics, and seconds at its own clock.
     /// Scheduler state and cache statistics reset for the next run;
     /// cache contents persist.
     pub fn finalize(&mut self) -> Vec<SimResult> {
@@ -765,8 +834,8 @@ impl MultiCore {
             .cores
             .iter()
             .map(|c| {
-                let s = &c.sched;
-                let caches = &self.mems[c.mem].caches;
+                let SchedStage { pipe, sched: s } = &self.scheds[c.sched];
+                let caches = &self.mems[pipe.mem].caches;
                 let cycles = s.last_commit + 1;
                 let (l1d, l2, llc) = caches.stats();
                 SimResult {
@@ -792,6 +861,7 @@ impl MultiCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CoreId;
     use swan_simd::trace::{Class, MemRef, Mode, Session};
     use swan_simd::{TraceData, TraceInstr};
     use swan_simd::{Vreg, Width};
@@ -1041,7 +1111,32 @@ mod tests {
         no_prefetch.mem.prefetch_degree = 0;
         let mut small_l1 = CoreConfig::silver();
         small_l1.mem.l1d.size = 16 << 10;
-        // (configurations, distinct memory hierarchies among them)
+        // Every registered core plus a repeated Prime: Prime, Gold and
+        // 4W-2V differ only in clock and power, so seven pipelines.
+        let mut registry: Vec<CoreConfig> = CoreId::ALL.into_iter().map(CoreId::config).collect();
+        registry.push(CoreConfig::prime());
+        // Prime and, per scheduler-read field, a Prime that differs in
+        // that field alone: leaving any field out of the pipeline key
+        // would merge its variant into Prime's scheduler.
+        let tweaks: [fn(&mut CoreConfig); 10] = [
+            |c| c.decode_width = 2,
+            |c| c.commit_width = 2,
+            |c| c.rob = 32,
+            |c| c.asimd_units = 1,
+            |c| c.scalar_alus = 1,
+            |c| c.load_units = 1,
+            |c| c.store_units = 2,
+            |c| c.in_order = true,
+            |c| c.mispredict_penalty = 30,
+            |c| c.mispredict_per_mille = 100,
+        ];
+        let mut one_field = vec![CoreConfig::prime()];
+        one_field.extend(tweaks.iter().map(|tweak| {
+            let mut c = CoreConfig::prime();
+            tweak(&mut c);
+            c
+        }));
+        // (configurations, distinct hierarchies, distinct pipelines)
         let fan_outs = [
             (
                 vec![
@@ -1050,6 +1145,7 @@ mod tests {
                     CoreConfig::silver(),
                 ],
                 1,
+                2,
             ),
             (
                 vec![
@@ -1059,17 +1155,21 @@ mod tests {
                     CoreConfig::prime(),
                 ],
                 3,
+                3,
             ),
+            (registry, 1, 7),
+            (one_field, 1, 11),
         ];
-        for (cfgs, distinct) in fan_outs {
+        for (cfgs, hierarchies, pipelines) in fan_outs {
             let solo: Vec<SimResult> = cfgs.iter().map(|c| crate::simulate(&t, c)).collect();
             let (fanned, stats) = fan_out(&cfgs, &t);
             assert_eq!(solo, fanned);
             assert_eq!(
                 stats.cache_walk_instrs,
-                2 * n * distinct,
-                "{distinct} hierarchies"
+                2 * n * hierarchies,
+                "{hierarchies} hierarchies"
             );
+            assert_eq!(stats.sched_steps, n * pipelines, "{pipelines} pipelines");
         }
     }
 

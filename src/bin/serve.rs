@@ -27,8 +27,9 @@
 //! them. `--workers N` sizes the execution pool (0 or omitted:
 //! auto-detect), `--queue-cap` bounds the work queue (full queue =
 //! backpressure, not memory growth), `--cache-groups` bounds the warm
-//! result cache, and `--max-requests` caps concurrent sessions'
-//! handlers.
+//! result cache (in scenario groups: a result Auto shares with its
+//! stream's impl counts two), and `--max-requests` caps concurrent
+//! sessions' handlers.
 
 use std::io::{self, BufReader};
 use std::process::exit;

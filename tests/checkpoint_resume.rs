@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
 use swan::prelude::*;
-use swan_core::{CampaignJournal, Runnable};
+use swan_core::{AutoStream, CampaignJournal, Runnable};
 
 const SEED: u64 = 7;
 
@@ -189,6 +189,9 @@ impl Kernel for CountingKernel {
             inner: self.inner.instantiate(scale, seed),
             runs: self.runs.clone(),
         })
+    }
+    fn auto_stream(&self) -> AutoStream {
+        self.inner.auto_stream()
     }
 }
 

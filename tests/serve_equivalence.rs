@@ -11,7 +11,7 @@ use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use swan::prelude::*;
-use swan_core::Runnable;
+use swan_core::{AutoStream, Runnable};
 use swan_serve::{Server, ServerConfig};
 
 const SEED: u64 = 7;
@@ -241,6 +241,9 @@ impl Kernel for CountingKernel {
             inner: self.inner.instantiate(scale, seed),
             runs: self.runs.clone(),
         })
+    }
+    fn auto_stream(&self) -> AutoStream {
+        self.inner.auto_stream()
     }
 }
 

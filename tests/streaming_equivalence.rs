@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use swan::prelude::*;
-use swan_core::Runnable;
+use swan_core::{AutoStream, Runnable};
 use swan_simd::trace::{stream_into, Mode, Session};
 use swan_uarch::SimResult;
 
@@ -443,6 +443,9 @@ impl Kernel for CountingKernel {
             inner: self.inner.instantiate(scale, seed),
             runs: self.runs.clone(),
         })
+    }
+    fn auto_stream(&self) -> AutoStream {
+        self.inner.auto_stream()
     }
 }
 
